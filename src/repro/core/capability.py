@@ -256,11 +256,6 @@ class CapabilityIssuer:
         self._epoch_raw: Optional[Tuple[Any, ...]] = None
         self._epoch_view: Tuple[Tuple[str, str], ...] = ()
 
-    def add_epoch_source(self, name: str, source: Any) -> None:
-        """Bind another epoch source (e.g. a cross-shard broadcast)."""
-        self.epoch_sources.append((name, source))
-        self._epoch_raw = None
-
     def epoch_view(self) -> Tuple[Tuple[str, str], ...]:
         """The current named-epoch snapshot tokens bind and check."""
         raw = tuple([epoch_of(source) for _, source in self.epoch_sources])

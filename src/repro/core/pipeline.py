@@ -651,9 +651,6 @@ class DecisionCache:
         self.misses = 0
         self.evictions = 0
 
-    def add_epoch_source(self, source: Any) -> None:
-        self.epoch_sources.append(source)
-
     def _epochs(self) -> Tuple[Any, ...]:
         return tuple(epoch_of(source) for source in self.epoch_sources)
 

@@ -18,10 +18,10 @@ sustained churn:
 * :class:`ShardState` — *all* of the Gatekeeper's per-request mutable
   state (live JMIs, completed store, admission counters, request
   counters) in one bundle, so a sharded service
-  (:mod:`repro.gram.dispatch`) can give every shard its own and keep
-  each bundle confined to one worker thread.  The only cross-shard
-  touch point is an optional :class:`SharedGauge` carrying the
-  service-wide active-JMI count for the global admission ceiling.
+  (:mod:`repro.gram.dispatch`) can give every shard its own.  The
+  only cross-shard touch point is an optional :class:`SharedGauge`
+  carrying the service-wide active-JMI count for the global admission
+  ceiling.
 
 :class:`LifecycleConfig` bundles the knobs; the Gatekeeper owns one
 :class:`ShardState` and the
@@ -342,10 +342,10 @@ class SharedGauge:
 
     The one cross-shard mutable value: the service-wide active-JMI
     count that the global admission ceiling (``max_active_jmis``)
-    compares against.  Shard worker threads call :meth:`adjust` from
-    their own threads, so the read-modify-write is guarded by a lock
-    — under CPython's memory model a bare ``+=`` from two threads can
-    lose updates.
+    compares against.  Callers may drive different shards from their
+    own threads, so the read-modify-write is guarded by a lock — under
+    CPython's memory model a bare ``+=`` from two threads can lose
+    updates.
     """
 
     def __init__(self, value: int = 0) -> None:
@@ -369,8 +369,8 @@ class ShardState:
     """All of one shard's per-request mutable Gatekeeper state.
 
     The sharded service (:mod:`repro.gram.dispatch`) gives every shard
-    its own ``ShardState`` and confines it to that shard's worker
-    thread — nothing here is locked, because nothing here is shared.
+    its own ``ShardState`` — nothing here is locked, because nothing
+    here is shared.
     The single-service configuration owns exactly one, so behaviour is
     identical to the pre-shard code.
 

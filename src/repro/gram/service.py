@@ -156,10 +156,6 @@ class ServiceConfig:
     #: :class:`repro.gram.dispatch.ShardedGramService`, which hashes
     #: each requester DN to a shard with its own full service stack.
     shards: int = 1
-    #: Dispatch executor for the sharded service: ``"inline"`` runs
-    #: every shard on the caller's thread (deterministic, the default)
-    #: while ``"thread"`` gives each shard a dedicated worker thread.
-    dispatch: str = "inline"
     #: VO-aware shard-key override: maps a requester DN string to the
     #: string actually hashed for shard selection (None = hash the DN
     #: itself).  Lets a deployment pin a whole VO subtree to one shard.
@@ -212,7 +208,18 @@ class GramService:
         ca: Optional[CertificateAuthority] = None,
         shard_index: int = 0,
         shared_active_jmis: Optional[SharedGauge] = None,
+        epoch_broadcast: Optional[object] = None,
     ) -> None:
+        """Wire one service stack.
+
+        A sharded service builds each shard through here, passing the
+        cross-shard pieces: *shared_active_jmis* (the global admission
+        gauge) and *epoch_broadcast* (an extra epoch source the cache,
+        capability issuer and query engine watch).  A stack built with
+        an *epoch_broadcast* is such a shard: it serves and watches
+        ``config.policy_store`` but leaves the validator and publish
+        subscription to its owner, which swaps every shard at once.
+        """
         self.config = config or ServiceConfig()
         if self.config.shards > 1 and shared_active_jmis is None:
             raise ValueError(
@@ -222,6 +229,7 @@ class GramService:
         #: Which shard of a sharded service this stack is (0 for the
         #: plain single service).
         self.shard_index = shard_index
+        self._epoch_broadcast = epoch_broadcast
         self.clock = Clock()
         self.ca = ca or CertificateAuthority("/O=Grid/CN=Reproduction CA")
         self.cluster = Cluster.homogeneous(
@@ -367,7 +375,7 @@ class GramService:
 
         #: The live file watcher once :meth:`watch_policy_files` ran.
         self.policy_watcher: Optional[PolicyWatcher] = None
-        if self.config.policy_store is not None:
+        if self.config.policy_store is not None and epoch_broadcast is None:
             store = self.config.policy_store
             store.add_validator(self._validate_bundle)
             store.subscribe(self.apply_policy_snapshot)
@@ -641,6 +649,10 @@ class GramService:
         # short-circuit keeps a byte-identical republish from revoking
         # anything.
         epoch_sources.append(("callouts", self.registry))
+        if self._epoch_broadcast is not None:
+            # A bump_policy_epoch() on any shard revokes capabilities
+            # on every shard, fail-closed, before the next validate.
+            epoch_sources.append(("broadcast", self._epoch_broadcast))
         if self.config.policy_store is not None:
             epoch_sources.append(("store", self.config.policy_store))
         issuer = CapabilityIssuer(
@@ -663,6 +675,11 @@ class GramService:
             return None
         return QueryEngine.from_combined(
             self.combined_evaluator,
+            epoch_sources=(
+                [self._epoch_broadcast]
+                if self._epoch_broadcast is not None
+                else []
+            ),
             registry=self.telemetry.registry if self.telemetry else None,
             consumer="gatekeeper",
         )
@@ -674,6 +691,8 @@ class GramService:
             [self.combined_evaluator] if self.combined_evaluator is not None else []
         )
         epoch_sources.append(self.registry)
+        if self._epoch_broadcast is not None:
+            epoch_sources.append(self._epoch_broadcast)
         if self.config.policy_store is not None:
             epoch_sources.append(self.config.policy_store)
         return DecisionCache(epoch_sources=epoch_sources)

@@ -12,7 +12,6 @@ all trigger a scheduling pass on the shared :class:`~repro.sim.Clock`.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -164,25 +163,6 @@ class BatchScheduler:
         return self.job(job_id).state
 
     # -- terminal notification ---------------------------------------------
-
-    def add_terminal_hook(self, hook: Callable[[BatchJob], None]) -> None:
-        """Register a hook fired for *every* terminal job.
-
-        .. deprecated::
-            Global hooks pay O(hooks) on every terminal event and leak
-            registrations that outlive their jobs; use the per-job
-            :meth:`on_job_terminal` instead.  Genuinely global
-            observers (federation-wide monitors) may still append to
-            :attr:`on_terminal` directly.
-        """
-        warnings.warn(
-            "add_terminal_hook is deprecated: register per-job callbacks "
-            "with on_job_terminal (global observers may append to "
-            "scheduler.on_terminal directly)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.on_terminal.append(hook)
 
     def on_job_terminal(
         self, job_id: str, callback: Callable[[BatchJob], None]

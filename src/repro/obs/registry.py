@@ -55,8 +55,8 @@ class Counter:
     """One counter series.
 
     Updates hold a per-series lock: a bare ``self.value += amount``
-    is a read-modify-write that loses increments when shard worker
-    threads hit the same series (CPython does not make ``+=`` atomic).
+    is a read-modify-write that loses increments when two threads hit
+    the same series (CPython does not make ``+=`` atomic).
     """
 
     __slots__ = ("value", "_lock")

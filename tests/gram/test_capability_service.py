@@ -33,7 +33,6 @@ def build_sharded(shards=4, **overrides):
         policies=(parse_policy(POLICY, name="vo"),),
         capability_grants=True,
         shards=shards,
-        dispatch="inline",
     )
     defaults.update(overrides)
     return ShardedGramService(ServiceConfig(**defaults))

@@ -146,7 +146,6 @@ class TestShardedFastDeny:
                 policies=(parse_policy(POLICY, name="vo"),),
                 query_fast_deny=True,
                 shards=shards,
-                dispatch="inline",
             )
         )
 

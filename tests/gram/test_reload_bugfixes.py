@@ -209,7 +209,6 @@ class TestShardRouterRekey:
             ServiceConfig(
                 policies=(parse_policy(POLICY, name="vo"),),
                 shards=4,
-                dispatch="inline",
             )
         )
         dns = [f"{ORG}/CN=User {i:02d}" for i in range(12)]
@@ -221,7 +220,6 @@ class TestShardRouterRekey:
         pinned = {service.shard_of(dn) for dn in dns}
         # Without the memo invalidation the stale spread would persist.
         assert len(pinned) == 1
-        service.close()
 
 
 class TestRetryAfterClamp:

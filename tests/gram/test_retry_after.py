@@ -108,7 +108,6 @@ class TestClientBackoff:
                 policies=(parse_policy(POLICY, name="vo"),),
                 max_jobs_per_user=1,
                 shards=2,
-                dispatch="inline",
             )
         )
         client = GramClient(

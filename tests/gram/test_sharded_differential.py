@@ -1,8 +1,8 @@
 """Differential check: sharding must not change authorization outcomes.
 
 The same seeded request stream is driven through a plain single-shard
-``GramService`` and through ``ShardedGramService`` at four shards on
-the thread-pool executor.  Contacts and job ids differ (the global
+``GramService`` and through ``ShardedGramService`` at four shards.
+Contacts and job ids differ (the global
 contact counter is consumed in a different order), so the comparison
 is over what the paper cares about: the per-request decision — code,
 reasons, and observed job state.
@@ -101,10 +101,8 @@ def test_sharded_outcomes_match_single_shard():
     plain = GramService(build_config())
     baseline = drive(plain, plain.gatekeeper)
 
-    with ShardedGramService(
-        build_config(shards=4, dispatch="thread")
-    ) as sharded:
-        outcomes = drive(sharded, sharded.gatekeeper)
+    sharded = ShardedGramService(build_config(shards=4))
+    outcomes = drive(sharded, sharded.gatekeeper)
 
     assert len(baseline) == len(outcomes)
     for index, (expected, got) in enumerate(zip(baseline, outcomes)):
@@ -120,7 +118,7 @@ def test_sharded_outcomes_match_single_shard():
 
 
 def test_inline_single_shard_is_byte_identical_to_plain():
-    """shards=1 + inline dispatch is the plain service, observably."""
+    """shards=1 is the plain service, observably."""
     import itertools
 
     from repro.gram import protocol
@@ -131,10 +129,9 @@ def test_inline_single_shard_is_byte_identical_to_plain():
     plain_contacts = sorted(plain.gatekeeper.completed._records)
 
     protocol._contact_counter = itertools.count(1)
-    sharded = ShardedGramService(build_config(shards=1, dispatch="inline"))
+    sharded = ShardedGramService(build_config(shards=1))
     outcomes = drive(sharded, sharded.gatekeeper)
     sharded_contacts = sorted(sharded.shards[0].gatekeeper.completed._records)
-    sharded.close()
 
     assert outcomes == baseline
     # With the counter reset, even job ids line up.

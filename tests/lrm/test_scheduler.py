@@ -253,16 +253,15 @@ class TestAccounting:
         clock.advance(5.0)
         assert seen == [j.job_id]
 
-    def test_add_terminal_hook_deprecated_but_functional(
-        self, scheduler, clock
-    ):
+    def test_global_observer_sees_every_terminal_job(self, scheduler, clock):
         seen = []
-        with pytest.warns(DeprecationWarning, match="on_job_terminal"):
-            scheduler.add_terminal_hook(lambda j: seen.append(j.job_id))
-        j = job(runtime=5.0)
-        scheduler.submit(j)
+        scheduler.on_terminal.append(lambda j: seen.append(j.job_id))
+        first, second = job(runtime=5.0), job(runtime=100.0)
+        scheduler.submit(first)
+        scheduler.submit(second)
         clock.advance(5.0)
-        assert seen == [j.job_id]
+        scheduler.cancel(second.job_id)
+        assert seen == [first.job_id, second.job_id]
 
     def test_usage_summary_all_accounts_sorted(self, scheduler, clock):
         scheduler.submit(job(runtime=5.0, account="zed"))
