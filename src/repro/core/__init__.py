@@ -87,10 +87,8 @@ from repro.core.dynamic import (
 from repro.core.pipeline import (
     DecisionCache,
     DecisionContext,
-    MetricsMiddleware,
     SourceRecord,
     StageRecord,
-    TracingMiddleware,
     current_context,
 )
 from repro.core.store import (
@@ -166,10 +164,8 @@ __all__ = [
     "TimeWindow",
     "DecisionCache",
     "DecisionContext",
-    "MetricsMiddleware",
     "SourceRecord",
     "StageRecord",
-    "TracingMiddleware",
     "current_context",
     "BundleRejected",
     "PolicyBundle",

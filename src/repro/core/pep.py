@@ -11,19 +11,20 @@ The PEP fronts the callout registry through the decision pipeline
 (:mod:`repro.core.pipeline`): every call to
 :meth:`EnforcementPoint.authorize` builds a
 :class:`~repro.core.pipeline.DecisionContext`, runs the middleware
-stack (metrics always; tracing and the policy-epoch decision cache
-when configured) around the callout chain, records an audit entry,
-and either returns the PERMIT decision (context attached) or raises
-:class:`AuthorizationDenied` / :class:`AuthorizationSystemFailure`
-(context attached to the exception).
+stack (resilience, capability and the policy-epoch decision cache when
+configured) around the callout chain, counts the outcome, keeps the
+finished context in its audit ring, and either returns the PERMIT
+decision (context attached) or raises :class:`AuthorizationDenied` /
+:class:`AuthorizationSystemFailure` (context attached to the
+exception).
 """
 
 from __future__ import annotations
 
 import enum
+import threading
 from collections import deque
-from dataclasses import dataclass
-from typing import Deque, Optional, Sequence, Tuple
+from typing import Any, Deque, Optional, Sequence, Tuple
 
 from repro.core.callout import (
     GRAM_AUTHZ_CALLOUT,
@@ -36,9 +37,7 @@ from repro.core.pipeline import (
     DecisionCache,
     DecisionContext,
     DecisionMiddleware,
-    MetricsMiddleware,
     NextHandler,
-    TracingMiddleware,
     activate,
     compose,
 )
@@ -53,35 +52,14 @@ class PEPPlacement(enum.Enum):
     GATEKEEPER = "gatekeeper"
 
 
-@dataclass(frozen=True)
-class AuditRecord:
-    """One authorization decision, as recorded by the PEP."""
-
-    request: AuthorizationRequest
-    decision: Optional[Decision]
-    failure: str = ""
-    #: For system failures: which callout/policy source broke, and how
-    #: (``"timeout"``, ``"breaker-open"``, plain ``"error"``) — the
-    #: same attribution the GRAM response carries.
-    failure_source: str = ""
-    failure_kind: str = ""
-    #: The pipeline context, when the record came through the
-    #: middleware stack — the full explanation of this line.
-    context: Optional[DecisionContext] = None
-
-    @property
-    def permitted(self) -> bool:
-        return self.decision is not None and self.decision.is_permit
-
-
 class EnforcementPoint:
     """A PEP bound to a callout registry, a placement and a middleware stack.
 
-    The stack runs outermost-first: metrics (always present), tracing
-    (when configured), any extra middlewares, then the decision cache
-    (when configured) sitting directly in front of the callout chain
-    so a hit skips policy evaluation entirely while metrics and
-    tracing still observe it.
+    The stack runs outermost-first: any extra middlewares, resilience,
+    capability, then the decision cache (each when configured) sitting
+    directly in front of the callout chain, so a hit skips policy
+    evaluation entirely.  :meth:`authorize` counts every outcome and
+    keeps the finished contexts in a bounded ring (:attr:`audit_log`).
     """
 
     def __init__(
@@ -91,8 +69,6 @@ class EnforcementPoint:
         placement: PEPPlacement = PEPPlacement.JOB_MANAGER,
         audit_limit: int = 10_000,
         middlewares: Sequence[DecisionMiddleware] = (),
-        metrics: Optional[MetricsMiddleware] = None,
-        tracing: Optional[TracingMiddleware] = None,
         resilience: Optional[DecisionMiddleware] = None,
         capability: Optional[DecisionMiddleware] = None,
         cache: Optional[DecisionCache] = None,
@@ -102,32 +78,35 @@ class EnforcementPoint:
         self.callout_type = callout_type
         self.placement = placement
         self.telemetry = telemetry
-        if metrics is None:
-            metrics = MetricsMiddleware(
-                registry=telemetry.registry if telemetry is not None else None,
-                clock=telemetry.clock if telemetry is not None else None,
-            )
-        self.metrics = metrics
-        self.tracing = tracing
         self.resilience = resilience
         self.capability = capability
         self.cache = cache
         self._extra_middlewares = list(middlewares)
         self._chain: Optional[NextHandler] = None
         self._audit_limit = audit_limit
-        self._audit: Deque[AuditRecord] = deque(maxlen=audit_limit)
+        self._audit: Deque[DecisionContext] = deque(maxlen=audit_limit)
+        # Guards the counters and the ring: one PEP may serve several
+        # threads, and ``+=`` is not atomic.
+        self._lock = threading.Lock()
+        #: Contexts evicted from the audit ring by its bound.
+        self.dropped = 0
+        self.permits = 0
+        self.denials = 0
+        self.failures = 0
+        # Labeled-family handles, resolved on the first decision so the
+        # per-decision path skips the registry's name resolution:
+        # (decisions, cache, latency, {(action, outcome): (counter,
+        # histogram)}, {cache status: counter}).
+        self._families: Optional[Tuple[Any, ...]] = None
 
     # -- middleware stack -----------------------------------------------------
 
     @property
     def middlewares(self) -> Tuple[DecisionMiddleware, ...]:
-        stack = [self.metrics]
-        if self.tracing is not None:
-            stack.append(self.tracing)
-        stack.extend(self._extra_middlewares)
+        stack = list(self._extra_middlewares)
         if self.resilience is not None:
             # Outside the cache: a cache hit never needs degradation,
-            # and a failing callout chain is caught before metrics.
+            # and a failing callout chain is caught before it is counted.
             stack.append(self.resilience)
         if self.capability is not None:
             # In front of the decision cache: a validated capability
@@ -139,23 +118,9 @@ class EnforcementPoint:
         return tuple(stack)
 
     def add_middleware(self, middleware: DecisionMiddleware) -> None:
-        """Insert *middleware* between tracing and the decision cache."""
+        """Insert *middleware* outside resilience and the decision cache."""
         self._extra_middlewares.append(middleware)
         self._chain = None
-
-    def use_tracing(self, tracing: Optional[TracingMiddleware] = None) -> TracingMiddleware:
-        """Enable (or replace) the tracing middleware."""
-        if tracing is None:
-            tracing = TracingMiddleware(
-                registry=(
-                    self.telemetry.registry
-                    if self.telemetry is not None
-                    else None
-                )
-            )
-        self.tracing = tracing
-        self._chain = None
-        return self.tracing
 
     def use_resilience(self, middleware: DecisionMiddleware) -> DecisionMiddleware:
         """Enable (or replace) the resilience/degradation middleware.
@@ -233,34 +198,25 @@ class EnforcementPoint:
                 span = current_span()
             if span is not None:
                 context.correlation_id = span.trace_id
+            clock = self.telemetry.clock if self.telemetry is not None else None
+            started_sim = clock.now if clock is not None else 0.0
             try:
                 with context.stage("pep", detail=self.placement.value):
                     decision = handler(request, context)
             except AuthorizationSystemFailure as exc:
-                context.finish_failure(str(exc))
+                context.finish_failure(exc)
                 exc.context = context
                 if span is not None:
                     span.set_attr("decision", "failure")
                     span.set_attr("failure_source", exc.source or "")
                     span.set_attr("failure_kind", exc.kind)
-                self._record(
-                    AuditRecord(
-                        request=request,
-                        decision=None,
-                        failure=str(exc),
-                        failure_source=exc.source or "",
-                        failure_kind=exc.kind,
-                        context=context,
-                    )
-                )
+                self._record(context, clock, started_sim)
                 raise
             if span is not None:
                 span.set_attr("decision", decision.effect.value)
         context.finish(decision)
         decision = decision.with_context(context)
-        self._record(
-            AuditRecord(request=request, decision=decision, context=context)
-        )
+        self._record(context, clock, started_sim)
         if decision.is_permit:
             return decision
         raise AuthorizationDenied(
@@ -286,23 +242,11 @@ class EnforcementPoint:
                 reasons=exc.reasons, source="pep"
             ).with_context(exc.context)
 
-    # -- counters (backed by the metrics middleware) -----------------------
-
-    @property
-    def permits(self) -> int:
-        return self.metrics.permits
-
-    @property
-    def denials(self) -> int:
-        return self.metrics.denials
-
-    @property
-    def failures(self) -> int:
-        return self.metrics.failures
+    # -- counters ------------------------------------------------------------
 
     @property
     def decisions_made(self) -> int:
-        return self.metrics.decisions
+        return self.permits + self.denials + self.failures
 
     # -- audit ------------------------------------------------------------
 
@@ -312,14 +256,81 @@ class EnforcementPoint:
 
     @audit_limit.setter
     def audit_limit(self, limit: int) -> None:
-        self._audit_limit = limit
-        self._audit = deque(self._audit, maxlen=limit)
+        with self._lock:
+            self._audit_limit = limit
+            self.dropped += max(0, len(self._audit) - limit)
+            self._audit = deque(self._audit, maxlen=limit)
 
-    def _record(self, record: AuditRecord) -> None:
-        self._audit.append(record)
+    def _record(
+        self, context: DecisionContext, clock: Any, started_sim: float
+    ) -> None:
+        """Emit the finished *context*: count it, keep it in the ring,
+        and feed the labeled ``authz_*`` families.
+
+        The labeled latency is simulated seconds since *started_sim*,
+        so registry snapshots are deterministic run to run.
+        """
+        outcome = context.outcome
+        with self._lock:
+            if outcome == "permit":
+                self.permits += 1
+            elif outcome == "deny":
+                self.denials += 1
+            else:
+                self.failures += 1
+            if len(self._audit) == self._audit_limit:
+                self.dropped += 1
+            self._audit.append(context)
+        if self.telemetry is None:
+            return
+        families = self._families
+        if families is None:
+            registry = self.telemetry.registry
+            families = self._families = (
+                registry.counter(
+                    "authz_decisions_total",
+                    help="Authorization decisions by final outcome",
+                    labelnames=("action", "decision"),
+                ),
+                registry.counter(
+                    "authz_cache_total",
+                    help="Decision-cache lookups by status",
+                    labelnames=("status",),
+                ),
+                registry.histogram(
+                    "authz_latency_seconds",
+                    help="End-to-end decision latency (simulated)",
+                    labelnames=("action", "decision"),
+                ),
+                {},
+                {},
+            )
+        decisions, cache, latency, by_outcome, by_status = families
+        key = (context.action, outcome)
+        series = by_outcome.get(key)
+        if series is None:
+            series = by_outcome[key] = (
+                decisions.labels(action=context.action, decision=outcome),
+                latency.labels(action=context.action, decision=outcome),
+            )
+        series[0].inc()
+        status_counter = by_status.get(context.cache_status)
+        if status_counter is None:
+            status_counter = by_status[context.cache_status] = cache.labels(
+                status=context.cache_status
+            )
+        status_counter.inc()
+        if context.degraded:
+            self.telemetry.registry.count(
+                "authz_degraded_total",
+                help="Decisions served in a degraded mode",
+                mode=context.degraded,
+            )
+        series[1].observe(clock.now - started_sim if clock is not None else 0.0)
 
     @property
-    def audit_log(self) -> Tuple[AuditRecord, ...]:
+    def audit_log(self) -> Tuple[DecisionContext, ...]:
+        """The most recent finished decisions, oldest first."""
         return tuple(self._audit)
 
     def __str__(self) -> str:

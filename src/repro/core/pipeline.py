@@ -19,17 +19,17 @@ This module collapses those into one layer:
   epoch, with what effect), the final effect and the cache status.
 * :class:`DecisionMiddleware` — the protocol the PEP's middleware
   stack is built from: ``middleware(request, context, call_next)``.
-* :class:`MetricsMiddleware` — counters and a latency histogram,
-  replacing the ad-hoc counters.
-* :class:`TracingMiddleware` — retains finished contexts and exports
-  them as JSON lines, superseding the scattered trace mechanisms for
-  authorization decisions.
 * :class:`DecisionCache` — a policy-epoch keyed decision cache:
   every policy source exposes a ``policy_epoch`` token bumped on
   mutation, so cached PERMIT/DENY decisions are invalidated exactly
   when local or VO policy changes.  This makes the paper's
   job-monitoring poll loop (repeated identical ``information``
   checks) measurably faster.
+
+The PEP itself (:meth:`~repro.core.pep.EnforcementPoint.authorize`)
+counts each finished context and keeps a bounded ring of them — the
+one per-decision record the audit export, the reports and the GRAM
+response all read.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import contextlib
 import itertools
 import json
 import time
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import (
@@ -87,14 +87,18 @@ class SourceRecord:
     name: str
     effect: str
     #: The source's policy epoch at evaluation time (see
-    #: :class:`DecisionCache`); ``None`` for sources without one.
+    #: :class:`DecisionCache`); ``None`` for sources without one.  A
+    #: record read back from JSON holds the epoch's exported text.
     epoch: Any = None
     detail: str = ""
 
     def to_dict(self) -> Dict[str, Any]:
         data: Dict[str, Any] = {"name": self.name, "effect": self.effect}
         if self.epoch is not None:
-            data["epoch"] = repr(self.epoch)
+            # Live epochs export as their repr; text read back from an
+            # export is already that repr and passes through unchanged.
+            epoch = self.epoch
+            data["epoch"] = epoch if isinstance(epoch, str) else repr(epoch)
         if self.detail:
             data["detail"] = self.detail
         return data
@@ -119,8 +123,18 @@ class DecisionContext:
     stages: List[StageRecord] = field(default_factory=list)
     sources: List[SourceRecord] = field(default_factory=list)
     effect: Optional[Effect] = None
+    #: The final decision's policy reasons (why it was denied, or the
+    #: grant that permitted it).
+    reasons: Tuple[str, ...] = ()
     failure: str = ""
+    #: For system failures: which callout/policy source broke, and how
+    #: (``"timeout"``, ``"breaker-open"``, plain ``"error"``) — the
+    #: same attribution the GRAM response carries.
+    failure_source: str = ""
+    failure_kind: str = ""
     cache_status: str = CACHE_BYPASS
+    #: Wall-clock seconds of the PEP stage, which encloses every
+    #: callout and policy-source stage.
     duration: float = 0.0
     #: Set by the resilience layer when this decision was served in a
     #: degraded mode (e.g. ``"fail-static"``): the decision is real
@@ -128,7 +142,8 @@ class DecisionContext:
     degraded: str = ""
     #: The :class:`~repro.core.capability.CapabilityToken` that served
     #: (fast-path hit) or was minted by (fresh PERMIT) this decision;
-    #: ``None`` when capability grants are not configured.
+    #: ``None`` when capability grants are not configured.  A context
+    #: read back from JSON holds only the token id.
     capability: Any = None
 
     @classmethod
@@ -175,16 +190,32 @@ class DecisionContext:
     def finish(self, decision: Decision) -> None:
         """Mark the decision complete; derive provenance if none recorded."""
         self.effect = decision.effect
+        self.reasons = decision.reasons
         if not self.sources and decision.source:
             self.add_source(decision.source, decision.effect)
-        self.duration = sum(s.duration for s in self.stages)
+        self._close()
 
-    def finish_failure(self, message: str) -> None:
+    def finish_failure(self, failure: AuthorizationSystemFailure) -> None:
         self.effect = Effect.INDETERMINATE
-        self.failure = message
-        self.duration = sum(s.duration for s in self.stages)
+        self.failure = str(failure)
+        self.failure_source = failure.source or ""
+        self.failure_kind = failure.kind
+        self._close()
+
+    def _close(self) -> None:
+        # The PEP's stage closes last and encloses every other stage,
+        # so it alone is the decision's duration; summing would count
+        # nested callout and source time two and three times over.
+        self.duration = self.stages[-1].duration if self.stages else 0.0
 
     # -- views ---------------------------------------------------------------
+
+    @property
+    def outcome(self) -> str:
+        """How the PEP counted this decision: permit, deny or failure."""
+        if self.failure_kind:
+            return "failure"
+        return "permit" if self.effect is Effect.PERMIT else "deny"
 
     @property
     def source_names(self) -> Tuple[str, ...]:
@@ -195,7 +226,10 @@ class DecisionContext:
         return tuple(s.name for s in self.stages)
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
+        capability = self.capability
+        if capability is not None and not isinstance(capability, str):
+            capability = capability.token_id
+        data = {
             "request_id": self.request_id,
             "correlation_id": self.correlation_id,
             "requester": self.requester,
@@ -208,13 +242,18 @@ class DecisionContext:
             "failure": self.failure,
             "cache": self.cache_status,
             "degraded": self.degraded,
-            "capability": (
-                self.capability.token_id if self.capability is not None else ""
-            ),
+            "capability": capability or "",
             "duration": self.duration,
             "stages": [s.to_dict() for s in self.stages],
             "sources": [s.to_dict() for s in self.sources],
         }
+        if self.reasons:
+            data["reasons"] = list(self.reasons)
+        if self.failure_source:
+            data["failure_source"] = self.failure_source
+        if self.failure_kind:
+            data["failure_kind"] = self.failure_kind
+        return data
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -230,10 +269,14 @@ class DecisionContext:
             jobowner=data.get("jobowner", ""),
             job_id=data.get("job_id", ""),
             placement=data.get("placement", ""),
+            reasons=tuple(data.get("reasons", ())),
             failure=data.get("failure", ""),
+            failure_source=data.get("failure_source", ""),
+            failure_kind=data.get("failure_kind", ""),
             cache_status=data.get("cache", CACHE_BYPASS),
             degraded=data.get("degraded", ""),
             duration=float(data.get("duration", 0.0)),
+            capability=data.get("capability") or None,
         )
         if data.get("effect"):
             context.effect = Effect(data["effect"])
@@ -343,237 +386,6 @@ def _wrap(middleware: DecisionMiddleware, nxt: NextHandler) -> NextHandler:
         return middleware(request, context, nxt)
 
     return run
-
-
-#: Latency histogram bucket upper bounds, in seconds.
-LATENCY_BUCKETS = (
-    1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, float("inf")
-)
-
-
-class MetricsMiddleware:
-    """Counters and latency histogram for the decision pipeline.
-
-    Replaces the old ad-hoc ``permits``/``denials``/``failures``
-    counters on the PEP (which now delegate here) and gives the
-    operator a latency distribution per outcome.
-
-    Since the unified telemetry subsystem (:mod:`repro.obs`) this is
-    a thin adapter: the plain attribute counters keep their historic
-    API, and — when a :class:`~repro.obs.registry.MetricsRegistry` is
-    attached — every decision additionally feeds the *labeled*
-    families (``authz_decisions_total{action, decision}``,
-    ``authz_cache_total{status}``, ``authz_latency_seconds{action,
-    decision}``).  The labeled latency is measured in *simulated*
-    seconds (when a clock is attached), so registry snapshots are
-    deterministic run to run; the legacy wall-clock histogram stays
-    wall-clock.
-    """
-
-    name = "metrics"
-
-    def __init__(self, registry: Any = None, clock: Any = None) -> None:
-        self.registry = registry
-        self.clock = clock
-        # (registry, decisions, cache, latency) family handles, cached
-        # on first use so the per-decision path skips name resolution.
-        self._families = None
-        self.permits = 0
-        self.denials = 0
-        self.failures = 0
-        self.invocations = 0
-        self.cache_hits = 0
-        self.degraded = 0
-        self._latency = [0] * len(LATENCY_BUCKETS)
-        self.total_seconds = 0.0
-
-    def __call__(
-        self,
-        request: AuthorizationRequest,
-        context: DecisionContext,
-        call_next: NextHandler,
-    ) -> Decision:
-        self.invocations += 1
-        started = time.perf_counter()
-        started_sim = self.clock.now if self.clock is not None else 0.0
-        try:
-            decision = call_next(request, context)
-        except AuthorizationSystemFailure:
-            self.failures += 1
-            self._observe(time.perf_counter() - started)
-            self._observe_registry(context, "failure", started_sim)
-            raise
-        self._observe(time.perf_counter() - started)
-        if decision.is_permit:
-            self.permits += 1
-            outcome = "permit"
-        else:
-            self.denials += 1
-            outcome = "deny"
-        if context.cache_status == CACHE_HIT:
-            self.cache_hits += 1
-        if context.degraded:
-            self.degraded += 1
-        self._observe_registry(context, outcome, started_sim)
-        return decision
-
-    def _observe_registry(
-        self, context: DecisionContext, outcome: str, started_sim: float
-    ) -> None:
-        registry = self.registry
-        if registry is None:
-            return
-        cached = self._families
-        if cached is None or cached[0] is not registry:
-            cached = self._families = (
-                registry,
-                registry.counter(
-                    "authz_decisions_total",
-                    help="Authorization decisions by final outcome",
-                    labelnames=("action", "decision"),
-                ),
-                registry.counter(
-                    "authz_cache_total",
-                    help="Decision-cache lookups by status",
-                    labelnames=("status",),
-                ),
-                registry.histogram(
-                    "authz_latency_seconds",
-                    help="End-to-end decision latency (simulated)",
-                    labelnames=("action", "decision"),
-                ),
-                {},  # (action, outcome) -> (counter, histogram) series
-                {},  # cache status -> counter series
-            )
-        _, decisions, cache, latency, by_outcome, by_status = cached
-        key = (context.action, outcome)
-        series = by_outcome.get(key)
-        if series is None:
-            series = by_outcome[key] = (
-                decisions.labels(action=context.action, decision=outcome),
-                latency.labels(action=context.action, decision=outcome),
-            )
-        series[0].inc()
-        status_counter = by_status.get(context.cache_status)
-        if status_counter is None:
-            status_counter = by_status[context.cache_status] = cache.labels(
-                status=context.cache_status
-            )
-        status_counter.inc()
-        if context.degraded:
-            registry.count(
-                "authz_degraded_total",
-                help="Decisions served in a degraded mode",
-                mode=context.degraded,
-            )
-        elapsed_sim = (
-            self.clock.now - started_sim if self.clock is not None else 0.0
-        )
-        series[1].observe(elapsed_sim)
-
-    def _observe(self, elapsed: float) -> None:
-        self.total_seconds += elapsed
-        for index, bound in enumerate(LATENCY_BUCKETS):
-            if elapsed <= bound:
-                self._latency[index] += 1
-                break
-
-    @property
-    def decisions(self) -> int:
-        return self.permits + self.denials + self.failures
-
-    def latency_histogram(self) -> Tuple[Tuple[float, int], ...]:
-        """(bucket upper bound in seconds, count) pairs."""
-        return tuple(zip(LATENCY_BUCKETS, self._latency))
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {
-            "invocations": self.invocations,
-            "permits": self.permits,
-            "denials": self.denials,
-            "failures": self.failures,
-            "cache_hits": self.cache_hits,
-            "degraded": self.degraded,
-            "total_seconds": self.total_seconds,
-            "latency_histogram": [
-                {"le": bound, "count": count}
-                for bound, count in self.latency_histogram()
-            ],
-        }
-
-    def __str__(self) -> str:
-        return (
-            f"metrics[permits={self.permits} denials={self.denials} "
-            f"failures={self.failures} cache_hits={self.cache_hits}]"
-        )
-
-
-class TracingMiddleware:
-    """Retains finished DecisionContexts; exports them as JSON lines.
-
-    One structured record per decision — stages, provenance, outcome —
-    superseding the three separate trace mechanisms (PEP audit
-    counters, registry invocation counter, component TraceRecorder)
-    for authorization decisions.
-
-    Retention is bounded by deque semantics: the oldest context is
-    evicted when the limit is reached, the eviction is counted on
-    :attr:`dropped`, and — when a metrics registry is attached —
-    surfaced as the ``tracing_dropped_total`` counter instead of
-    being silently discarded.
-    """
-
-    name = "tracing"
-
-    def __init__(self, limit: int = 10_000, registry: Any = None) -> None:
-        self._limit = limit
-        self._records: deque = deque(maxlen=limit)
-        self.registry = registry
-        self.dropped = 0
-
-    @property
-    def limit(self) -> int:
-        return self._limit
-
-    def __call__(
-        self,
-        request: AuthorizationRequest,
-        context: DecisionContext,
-        call_next: NextHandler,
-    ) -> Decision:
-        try:
-            return call_next(request, context)
-        finally:
-            if len(self._records) == self._limit:
-                self.dropped += 1
-                if self.registry is not None:
-                    self.registry.count(
-                        "tracing_dropped_total",
-                        help="Decision traces evicted by retention",
-                    )
-            self._records.append(context)
-
-    @property
-    def records(self) -> Tuple[DecisionContext, ...]:
-        return tuple(self._records)
-
-    def to_jsonl(self) -> str:
-        return "\n".join(record.to_json() for record in self._records)
-
-    def export(self, path: str) -> int:
-        """Write retained decisions as JSON lines; returns count."""
-        count = 0
-        with open(path, "w", encoding="utf-8") as handle:
-            for record in self._records:
-                handle.write(record.to_json() + "\n")
-                count += 1
-        return count
-
-    def clear(self) -> None:
-        self._records.clear()
-
-    def __len__(self) -> int:
-        return len(self._records)
 
 
 # -- the policy-epoch decision cache ----------------------------------------

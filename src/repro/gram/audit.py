@@ -1,10 +1,11 @@
 """Audit-log export and offline analysis.
 
 The PEP keeps its audit log in memory; sites need it on disk for
-accounting disputes and security review.  This module flattens audit
-records to JSON lines, reloads them, and runs the same denial
-analysis offline — so an administrator can answer "who was denied
-what last week, and why" without the resource running.
+accounting disputes and security review.  The audit file is the
+decision record itself — one :meth:`DecisionContext.to_json` line per
+decision — so reloading it yields the same contexts the PEP kept, and
+the denial analysis runs offline: an administrator can answer "who
+was denied what last week, and why" without the resource running.
 """
 
 from __future__ import annotations
@@ -13,129 +14,29 @@ import json
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
-from repro.core.pep import AuditRecord, EnforcementPoint
-
-
-@dataclass(frozen=True)
-class AuditEntry:
-    """One flattened audit record (decoupled from live objects)."""
-
-    requester: str
-    action: str
-    job_id: str
-    jobowner: str
-    outcome: str  # "permit" | "deny" | "failure"
-    reasons: Tuple[str, ...]
-    source: str
-    #: Pipeline provenance (when the record came through the decision
-    #: pipeline): total decision latency, cache status and the names
-    #: of the contributing policy sources.
-    duration: float = 0.0
-    cache: str = ""
-    sources: Tuple[str, ...] = ()
-    #: Correlation id — the trace id of the request's span tree when
-    #: telemetry was on (else the pipeline's decision id), so an audit
-    #: line joins against a trace export.
-    request_id: str = ""
-    #: Failure attribution for ``outcome == "failure"``: which
-    #: callout/policy source broke, and how.
-    failure_source: str = ""
-    failure_kind: str = ""
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "requester": self.requester,
-                "action": self.action,
-                "job_id": self.job_id,
-                "jobowner": self.jobowner,
-                "outcome": self.outcome,
-                "reasons": list(self.reasons),
-                "source": self.source,
-                "duration": self.duration,
-                "cache": self.cache,
-                "sources": list(self.sources),
-                "request_id": self.request_id,
-                "failure_source": self.failure_source,
-                "failure_kind": self.failure_kind,
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "AuditEntry":
-        data = json.loads(text)
-        return cls(
-            requester=data["requester"],
-            action=data["action"],
-            job_id=data.get("job_id", ""),
-            jobowner=data.get("jobowner", ""),
-            outcome=data["outcome"],
-            reasons=tuple(data.get("reasons", ())),
-            source=data.get("source", ""),
-            duration=float(data.get("duration", 0.0)),
-            cache=data.get("cache", ""),
-            sources=tuple(data.get("sources", ())),
-            request_id=data.get("request_id", ""),
-            failure_source=data.get("failure_source", ""),
-            failure_kind=data.get("failure_kind", ""),
-        )
-
-    @classmethod
-    def from_record(cls, record: AuditRecord) -> "AuditEntry":
-        if record.decision is None:
-            outcome = "failure"
-            reasons: Tuple[str, ...] = (record.failure,)
-            source = ""
-        elif record.decision.is_permit:
-            outcome = "permit"
-            reasons = record.decision.reasons
-            source = record.decision.source
-        else:
-            outcome = "deny"
-            reasons = record.decision.reasons
-            source = record.decision.source
-        context = record.context
-        return cls(
-            requester=str(record.request.requester),
-            action=str(record.request.action),
-            job_id=record.request.job_id,
-            jobowner=str(record.request.owner),
-            outcome=outcome,
-            reasons=reasons,
-            source=source,
-            duration=context.duration if context is not None else 0.0,
-            cache=context.cache_status if context is not None else "",
-            sources=context.source_names if context is not None else (),
-            request_id=(
-                (context.correlation_id or context.request_id)
-                if context is not None
-                else ""
-            ),
-            failure_source=record.failure_source,
-            failure_kind=record.failure_kind if outcome == "failure" else "",
-        )
+from repro.core.pep import EnforcementPoint
+from repro.core.pipeline import DecisionContext
 
 
 def export_audit_log(pep: EnforcementPoint, path: str) -> int:
     """Write the PEP's audit log as JSON lines; returns entries written."""
     count = 0
     with open(path, "w", encoding="utf-8") as handle:
-        for record in pep.audit_log:
-            handle.write(AuditEntry.from_record(record).to_json() + "\n")
+        for context in pep.audit_log:
+            handle.write(context.to_json() + "\n")
             count += 1
     return count
 
 
-def load_audit_log(path: str) -> Tuple[AuditEntry, ...]:
-    """Read a JSON-lines audit file back into entries."""
-    entries: List[AuditEntry] = []
+def load_audit_log(path: str) -> Tuple[DecisionContext, ...]:
+    """Read a JSON-lines audit file back into decision contexts."""
+    records: List[DecisionContext] = []
     with open(path, "r", encoding="utf-8") as handle:
         for line in handle:
             line = line.strip()
             if line:
-                entries.append(AuditEntry.from_json(line))
-    return tuple(entries)
+                records.append(DecisionContext.from_dict(json.loads(line)))
+    return tuple(records)
 
 
 @dataclass(frozen=True)
@@ -161,19 +62,20 @@ class OfflineSummary:
         return "\n".join(lines)
 
 
-def summarize(entries: Iterable[AuditEntry]) -> OfflineSummary:
+def summarize(records: Iterable[DecisionContext]) -> OfflineSummary:
     """Compute the offline report an administrator reads first."""
     total = permits = denials = failures = 0
     requesters: Dict[str, int] = {}
     reasons: Dict[str, int] = {}
-    for entry in entries:
+    for record in records:
         total += 1
-        requesters[entry.requester] = requesters.get(entry.requester, 0) + 1
-        if entry.outcome == "permit":
+        requesters[record.requester] = requesters.get(record.requester, 0) + 1
+        outcome = record.outcome
+        if outcome == "permit":
             permits += 1
-        elif entry.outcome == "deny":
+        elif outcome == "deny":
             denials += 1
-            for reason in entry.reasons[:1]:
+            for reason in record.reasons[:1]:
                 reasons[reason] = reasons.get(reason, 0) + 1
         else:
             failures += 1

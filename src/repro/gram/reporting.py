@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.core.pep import AuditRecord, EnforcementPoint
+from repro.core.pep import EnforcementPoint
+from repro.core.pipeline import DecisionContext
 from repro.lrm.scheduler import BatchScheduler
 from repro.vo.organization import VirtualOrganization
 
@@ -94,15 +95,15 @@ def denial_report(
     pep: EnforcementPoint, limit: int = 50
 ) -> Tuple[DenialSummary, ...]:
     """Summarise the PEP's denials for an administrator."""
-    buckets: Dict[Tuple[str, str], List[AuditRecord]] = {}
+    buckets: Dict[Tuple[str, str], List[DecisionContext]] = {}
     for record in pep.audit_log:
-        if record.permitted or record.decision is None:
+        if record.outcome != "deny":
             continue
-        key = (str(record.request.requester), str(record.request.action))
+        key = (record.requester, record.action)
         buckets.setdefault(key, []).append(record)
     summaries = []
     for (requester, action), records in buckets.items():
-        reasons = records[-1].decision.reasons
+        reasons = records[-1].reasons
         summaries.append(
             DenialSummary(
                 requester=requester,

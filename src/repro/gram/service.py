@@ -35,7 +35,7 @@ from repro.core.combination import CombinationAlgorithm
 from repro.core.model import Policy
 from repro.core.pep import EnforcementPoint, PEPPlacement
 from repro.core.query import QueryEngine
-from repro.core.pipeline import DecisionCache, TracingMiddleware
+from repro.core.pipeline import DecisionCache
 from repro.core.resilience import (
     DegradationMode,
     ResilienceConfig,
@@ -90,9 +90,6 @@ class ServiceConfig:
     #: identical checks (the job-monitoring poll loop) hit the cache
     #: until a policy source mutates.
     decision_cache: bool = False
-    #: Retain per-decision pipeline traces on the PEPs, exportable as
-    #: JSON lines (:class:`repro.core.pipeline.TracingMiddleware`).
-    trace_decisions: bool = False
     #: Wrap the configured authorization callouts with the resilience
     #: layer — per-call timeout, bounded retry, per-source circuit
     #: breaker — and attach the selected degradation middleware to the
@@ -264,7 +261,6 @@ class GramService:
         #: the decision cache reads its per-source policy epochs.
         self.combined_evaluator = None
         self._configure_callouts()
-        obs_registry = self.telemetry.registry if self.telemetry else None
         #: The capability fast path on the Job Manager PEP (None when
         #: ``config.capability_grants`` is off).
         self.capability: Optional[CapabilityMiddleware] = (
@@ -279,11 +275,6 @@ class GramService:
         self.pep = EnforcementPoint(
             registry=self.registry,
             placement=PEPPlacement.JOB_MANAGER,
-            tracing=(
-                TracingMiddleware(registry=obs_registry)
-                if self.config.trace_decisions
-                else None
-            ),
             capability=self.capability,
             cache=self._build_decision_cache(),
             telemetry=self.telemetry,
@@ -293,11 +284,6 @@ class GramService:
                 registry=self.registry,
                 callout_type=GATEKEEPER_AUTHZ_CALLOUT,
                 placement=PEPPlacement.GATEKEEPER,
-                tracing=(
-                    TracingMiddleware(registry=obs_registry)
-                    if self.config.trace_decisions
-                    else None
-                ),
                 telemetry=self.telemetry,
             )
             if self.config.pep_in_gatekeeper

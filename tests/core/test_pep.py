@@ -105,16 +105,18 @@ class TestAudit:
         pep.authorize(request_)
         assert len(pep.audit_log) == 1
         record = pep.audit_log[0]
-        assert record.permitted
-        assert record.request is request_
+        assert record.outcome == "permit"
+        assert record.requester == str(request_.requester)
+        assert record.action == str(request_.action)
 
     def test_failures_audited_with_message(self, request_):
         pep = make_pep(broken_callout)
         with pytest.raises(AuthorizationSystemFailure):
             pep.authorize(request_)
         record = pep.audit_log[0]
-        assert not record.permitted
+        assert record.outcome == "failure"
         assert record.failure
+        assert record.failure_kind == "error"
 
     def test_audit_log_is_bounded(self, request_):
         pep = make_pep(permit_all)

@@ -1,5 +1,7 @@
 """The explainable decision pipeline: context, middleware, epoch cache."""
 
+import json
+
 import pytest
 
 from repro.core.builtin_callouts import (
@@ -9,6 +11,12 @@ from repro.core.builtin_callouts import (
     permit_all,
 )
 from repro.core.callout import GRAM_AUTHZ_CALLOUT, CalloutRegistry
+from repro.core.capability import (
+    CAPABILITY_HIT,
+    CapabilityIssuer,
+    CapabilityMiddleware,
+    default_capability_key,
+)
 from repro.core.decision import Effect
 from repro.core.dynamic import PolicyStore
 from repro.core.errors import AuthorizationDenied, AuthorizationSystemFailure
@@ -19,12 +27,13 @@ from repro.core.pipeline import (
     CACHE_MISS,
     DecisionCache,
     DecisionContext,
-    MetricsMiddleware,
-    TracingMiddleware,
     current_context,
 )
 from repro.core.request import AuthorizationRequest
+from repro.core.resilience import DegradationMode, ResilienceConfig
+from repro.gram.audit import export_audit_log, load_audit_log
 from repro.rsl.parser import parse_specification
+from repro.sim.clock import Clock
 
 ALICE = "/O=Grid/OU=org/CN=Alice"
 BOB = "/O=Grid/OU=org/CN=Bob"
@@ -108,6 +117,29 @@ class TestDecisionContext:
         assert "source:vo" in context.stage_names
         assert "source:local" in context.stage_names
 
+    def test_duration_is_the_enclosing_pep_stage(self):
+        """Callout and source stages nest inside the PEP stage."""
+        callout = combined_policy_callout(
+            [
+                parse_policy(GRANT_ALICE, name="vo"),
+                parse_policy(GRANT_ALICE, name="local"),
+            ]
+        )
+        pep = make_pep(callout)
+        permitted = pep.authorize(start_request()).context
+        with pytest.raises(AuthorizationDenied) as denied:
+            pep.authorize(start_request(BOB))
+        pep.registry.register(GRAM_AUTHZ_CALLOUT, broken_callout)
+        with pytest.raises(AuthorizationSystemFailure) as failed:
+            pep.authorize(start_request())
+        for context in (permitted, denied.value.context, failed.value.context):
+            (pep_stage,) = [s for s in context.stages if s.name == "pep"]
+            assert len(context.stages) > 1
+            assert context.duration == pep_stage.duration
+            assert all(
+                context.duration >= stage.duration for stage in context.stages
+            )
+
     def test_json_round_trip(self):
         pep = make_pep(permit_all)
         context = pep.authorize(start_request()).context
@@ -132,73 +164,68 @@ class TestDecisionContext:
 
 
 class TestMetricsMiddleware:
+    """The PEP's outcome counters."""
+
     def test_counts_back_the_pep_counters(self):
         pep = make_pep(permit_all)
         pep.authorize(start_request())
         pep.authorize(start_request())
-        assert pep.metrics.permits == pep.permits == 2
-        assert pep.metrics.invocations == 2
+        assert pep.permits == pep.decisions_made == 2
+        assert [c.outcome for c in pep.audit_log] == ["permit", "permit"]
 
     def test_outcome_classification(self):
-        metrics = MetricsMiddleware()
+        registry = CalloutRegistry()
+        pep = EnforcementPoint(registry=registry)
         for callout, exc in (
             (permit_all, None),
             (deny_all, AuthorizationDenied),
             (broken_callout, AuthorizationSystemFailure),
         ):
-            pep = make_pep(callout, metrics=metrics)
+            registry.register(GRAM_AUTHZ_CALLOUT, callout)
             if exc is None:
                 pep.authorize(start_request())
             else:
                 with pytest.raises(exc):
                     pep.authorize(start_request())
-        assert (metrics.permits, metrics.denials, metrics.failures) == (1, 1, 1)
-        assert metrics.decisions == 3
-
-    def test_latency_histogram_observes_every_decision(self):
-        pep = make_pep(permit_all)
-        for _ in range(5):
-            pep.authorize(start_request())
-        histogram = pep.metrics.latency_histogram()
-        assert sum(count for _, count in histogram) == 5
-        assert pep.metrics.total_seconds > 0.0
-
-    def test_snapshot_shape(self):
-        pep = make_pep(permit_all)
-        pep.authorize(start_request())
-        snapshot = pep.metrics.snapshot()
-        assert snapshot["permits"] == 1
-        assert snapshot["latency_histogram"]
+            registry.clear(GRAM_AUTHZ_CALLOUT)
+        assert (pep.permits, pep.denials, pep.failures) == (1, 1, 1)
+        assert pep.decisions_made == 3
+        assert [c.outcome for c in pep.audit_log] == [
+            "permit",
+            "deny",
+            "failure",
+        ]
 
 
 class TestTracingMiddleware:
+    """The PEP's ring of finished decision contexts."""
+
     def test_traces_every_decision(self):
-        tracing = TracingMiddleware()
-        pep = make_pep(permit_all, tracing=tracing)
+        pep = make_pep(permit_all)
         pep.authorize(start_request())
         with pytest.raises(AuthorizationDenied):
             pep.registry.register(GRAM_AUTHZ_CALLOUT, deny_all)
             pep.authorize(start_request(BOB))
-        assert len(tracing) == 2
-        assert tracing.records[0].effect is Effect.PERMIT
-        assert tracing.records[1].effect is Effect.DENY
+        assert len(pep.audit_log) == 2
+        assert pep.audit_log[0].effect is Effect.PERMIT
+        assert pep.audit_log[1].effect is Effect.DENY
 
     def test_jsonl_export(self, tmp_path):
-        tracing = TracingMiddleware()
-        pep = make_pep(permit_all, tracing=tracing)
-        pep.authorize(start_request())
+        pep = make_pep(permit_all)
+        context = pep.authorize(start_request()).context
         path = tmp_path / "decisions.jsonl"
-        assert tracing.export(str(path)) == 1
+        assert export_audit_log(pep, str(path)) == 1
         line = path.read_text().strip()
-        assert '"effect": "permit"' in line or '"permit"' in line
-        assert tracing.to_jsonl().strip() == line
+        assert '"effect": "permit"' in line
+        assert line == context.to_json()
 
     def test_bounded_retention(self):
-        tracing = TracingMiddleware(limit=3)
-        pep = make_pep(permit_all, tracing=tracing)
+        pep = make_pep(permit_all, audit_limit=3)
         for _ in range(10):
             pep.authorize(start_request())
-        assert len(tracing) == 3
+        assert len(pep.audit_log) == 3
+        assert pep.dropped == 7
+        assert pep.permits == 10
 
 
 class TestDecisionCache:
@@ -261,10 +288,12 @@ class TestDecisionCache:
         assert cache.evictions == 1
 
     def test_metrics_count_cache_hits(self):
-        pep = make_pep(permit_all, cache=DecisionCache())
+        cache = DecisionCache()
+        pep = make_pep(permit_all, cache=cache)
         pep.authorize(start_request())
         pep.authorize(start_request())
-        assert pep.metrics.cache_hits == 1
+        assert cache.hits == 1
+        assert [c.cache_status for c in pep.audit_log] == [CACHE_MISS, CACHE_HIT]
         assert pep.permits == 2  # hits still count as decisions
 
 
@@ -336,18 +365,142 @@ class TestMiddlewareStack:
         assert seen == [(ALICE, Effect.PERMIT)]
 
     def test_stack_order(self):
+        def observer(request, context, call_next):
+            return call_next(request, context)
+
         pep = make_pep(
-            permit_all, tracing=TracingMiddleware(), cache=DecisionCache()
+            permit_all, middlewares=(observer,), cache=DecisionCache()
         )
         names = [getattr(m, "name", "custom") for m in pep.middlewares]
-        assert names == ["metrics", "tracing", "decision-cache"]
+        assert names == ["custom", "decision-cache"]
 
-    def test_use_cache_and_use_tracing_enable_late(self):
+    def test_use_cache_enables_late(self):
         pep = make_pep(permit_all)
         pep.authorize(start_request())
         cache = pep.use_cache()
-        tracing = pep.use_tracing()
         pep.authorize(start_request())
         pep.authorize(start_request())
         assert cache.hits == 1
-        assert len(tracing) == 2
+        assert len(pep.audit_log) == 3
+
+
+class _Switch:
+    """A callout that can be taken down to force a system failure."""
+
+    def __init__(self, callout):
+        self.callout = callout
+        self.down = False
+
+    def __call__(self, request):
+        if self.down:
+            raise ConnectionError("policy source unreachable")
+        return self.callout(request)
+
+
+def _epoch_pep():
+    """A PEP over VO and local policies whose sources carry epochs."""
+    callout = combined_policy_callout(
+        [
+            parse_policy(GRANT_ALICE, name="vo"),
+            parse_policy(GRANT_ALICE, name="local"),
+        ]
+    )
+    switch = _Switch(callout)
+    return make_pep(switch), switch, callout.evaluator
+
+
+def _permit_record():
+    pep, _, _ = _epoch_pep()
+    return pep.authorize(start_request()).context
+
+
+def _deny_record():
+    pep, _, _ = _epoch_pep()
+    with pytest.raises(AuthorizationDenied) as excinfo:
+        pep.authorize(start_request(BOB))
+    return excinfo.value.context
+
+
+def _failure_record():
+    pep, switch, _ = _epoch_pep()
+    switch.down = True
+    with pytest.raises(AuthorizationSystemFailure) as excinfo:
+        pep.authorize(start_request())
+    return excinfo.value.context
+
+
+def _cache_hit_record():
+    pep, _, evaluator = _epoch_pep()
+    pep.use_cache(DecisionCache(epoch_sources=[evaluator]))
+    pep.authorize(start_request())
+    context = pep.authorize(start_request()).context
+    assert context.cache_status == CACHE_HIT
+    return context
+
+
+def _capability_record():
+    pep, _, evaluator = _epoch_pep()
+    issuer = CapabilityIssuer(
+        key=default_capability_key("grid.example.org"),
+        clock=Clock(),
+        epoch_sources=[("policy", evaluator)],
+    )
+    pep.use_capability(CapabilityMiddleware(issuer))
+    pep.authorize(start_request())
+    context = pep.authorize(start_request()).context
+    assert context.cache_status == CAPABILITY_HIT
+    return context
+
+
+def _fail_static_record():
+    pep, switch, evaluator = _epoch_pep()
+    config = ResilienceConfig(mode=DegradationMode.FAIL_STATIC)
+    pep.use_resilience(config.middleware([evaluator]))
+    pep.authorize(start_request())
+    switch.down = True
+    context = pep.authorize(start_request()).context
+    assert context.degraded == "fail-static"
+    return context
+
+
+class TestWireRoundTrip:
+    """The wire form (and audit-file format) survives any number of hops."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            _permit_record,
+            _deny_record,
+            _failure_record,
+            _cache_hit_record,
+            _capability_record,
+            _fail_static_record,
+        ],
+        ids=[
+            "permit",
+            "deny",
+            "system-failure",
+            "cache-hit",
+            "capability",
+            "fail-static",
+        ],
+    )
+    def test_from_dict_to_dict_is_stable(self, build):
+        context = build()
+        data = context.to_dict()
+        again = DecisionContext.from_dict(json.loads(json.dumps(data)))
+        assert again.to_dict() == data
+        assert DecisionContext.from_dict(again.to_dict()).to_dict() == data
+
+    def test_audit_file_reloads_the_same_records(self, tmp_path):
+        pep, _, _ = _epoch_pep()
+        pep.authorize(start_request())
+        with pytest.raises(AuthorizationDenied):
+            pep.authorize(start_request(BOB))
+        path = tmp_path / "audit.jsonl"
+        export_audit_log(pep, str(path))
+        loaded = load_audit_log(str(path))
+        assert [c.to_dict() for c in loaded] == [
+            c.to_dict() for c in pep.audit_log
+        ]
+        assert loaded[1].reasons == pep.audit_log[1].reasons != ()

@@ -1,12 +1,15 @@
 """Audit-log export, reload and offline analysis."""
 
+import json
+
 import pytest
 
 from repro.core.builtin_callouts import broken_callout
 from repro.core.callout import GRAM_AUTHZ_CALLOUT
 from repro.core.parser import parse_policy
+from repro.core.decision import Effect
+from repro.core.pipeline import DecisionContext
 from repro.gram.audit import (
-    AuditEntry,
     export_audit_log,
     load_audit_log,
     summarize,
@@ -68,19 +71,21 @@ class TestExportAndReload:
         export_audit_log(busy_service.pep, str(path))
         entries = load_audit_log(str(path))
         assert entries[-1].outcome == "failure"
-        assert entries[-1].reasons
+        assert entries[-1].failure
+        assert entries[-1].failure_kind == "error"
 
     def test_json_round_trip_of_single_entry(self):
-        entry = AuditEntry(
+        entry = DecisionContext(
+            request_id="dec-1",
             requester=ALICE,
             action="start",
             job_id="7",
             jobowner=ALICE,
-            outcome="deny",
+            effect=Effect.DENY,
             reasons=("r1", "r2"),
-            source="vo",
         )
-        assert AuditEntry.from_json(entry.to_json()) == entry
+        entry.add_source("vo", Effect.DENY)
+        assert DecisionContext.from_dict(json.loads(entry.to_json())) == entry
 
 
 class TestOfflineSummary:

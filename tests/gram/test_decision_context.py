@@ -9,6 +9,8 @@ Manager PEP or the §6.2 Gatekeeper PEP), the response carries a
 
 import pytest
 
+from repro.core.builtin_callouts import broken_callout
+from repro.core.callout import GATEKEEPER_AUTHZ_CALLOUT, GRAM_AUTHZ_CALLOUT
 from repro.core.parser import parse_policy
 from repro.gram.client import GramClient
 from repro.gram.jobmanager import AuthorizationMode
@@ -142,8 +144,8 @@ class TestGatekeeperPlacement:
         assert response.decision_context.placement == "job-manager"
         gk_records = service.gatekeeper_pep.audit_log
         assert gk_records
-        assert gk_records[-1].context.placement == "gatekeeper"
-        assert gk_records[-1].context.stages
+        assert gk_records[-1].placement == "gatekeeper"
+        assert gk_records[-1].stages
 
     def test_gatekeeper_denial_carries_gatekeeper_context(self):
         service = build_service(pep_in_gatekeeper=True)
@@ -195,10 +197,72 @@ class TestServiceDecisionCache:
         assert service.pep.cache.hits >= 1
 
     def test_tracing_retains_every_decision(self):
-        service = build_service(trace_decisions=True)
+        service = build_service()
         bo = GramClient(service.add_user(BO, "boliu"), service.gatekeeper)
         submitted = bo.submit(BO_START)
-        bo.status(submitted.contact)
-        assert len(service.pep.tracing) >= 2
-        jsonl = service.pep.tracing.to_jsonl()
+        polled = bo.status(submitted.contact)
+        assert len(service.pep.audit_log) >= 2
+        assert service.pep.audit_log[-1] is polled.decision_context
+        jsonl = "\n".join(c.to_json() for c in service.pep.audit_log)
         assert '"start"' in jsonl and '"information"' in jsonl
+
+
+def _tally(records):
+    counts = {"permit": 0, "deny": 0, "failure": 0}
+    for record in records:
+        counts[record.outcome] += 1
+    return counts["permit"], counts["deny"], counts["failure"]
+
+
+class TestDecisionRecord:
+    """Each PEP's counters and its ring of contexts tell one story."""
+
+    @pytest.mark.parametrize("telemetry", [True, False], ids=["obs", "no-obs"])
+    def test_counters_equal_the_ring_on_both_peps(self, telemetry):
+        service = build_service(pep_in_gatekeeper=True, telemetry=telemetry)
+        bo = GramClient(service.add_user(BO, "boliu"), service.gatekeeper)
+        submitted = bo.submit(BO_START)  # permit at both PEPs
+        assert submitted.ok
+        bo.status(submitted.contact)  # Job Manager permit
+        bo.cancel(submitted.contact)  # Job Manager deny: no cancel grant
+        bo.submit("&(executable=evil)(jobtag=NFC)(count=1)")  # Gatekeeper deny
+        service.registry.clear(GRAM_AUTHZ_CALLOUT)
+        service.registry.register(GRAM_AUTHZ_CALLOUT, broken_callout)
+        bo.submit(BO_START)  # Gatekeeper permit, Job Manager failure
+        service.registry.clear(GATEKEEPER_AUTHZ_CALLOUT)
+        service.registry.register(GATEKEEPER_AUTHZ_CALLOUT, broken_callout)
+        bo.submit(BO_START)  # Gatekeeper failure
+
+        jm, gk = service.pep, service.gatekeeper_pep
+        assert (jm.permits, jm.denials, jm.failures) == (2, 1, 1)
+        assert (gk.permits, gk.denials, gk.failures) == (2, 1, 1)
+        for pep in (jm, gk):
+            assert _tally(pep.audit_log) == (
+                pep.permits,
+                pep.denials,
+                pep.failures,
+            )
+            assert pep.dropped == 0
+        if telemetry:
+            registry = service.telemetry.registry
+            expected = {}
+            for record in jm.audit_log + gk.audit_log:
+                key = (record.action, record.outcome)
+                expected[key] = expected.get(key, 0) + 1
+            for (action, outcome), count in expected.items():
+                assert registry.value(
+                    "authz_decisions_total", action=action, decision=outcome
+                ) == count
+
+    def test_ring_is_bounded_and_counts_evictions(self):
+        service = build_service(pep_in_gatekeeper=True)
+        service.pep.audit_limit = 2
+        service.gatekeeper_pep.audit_limit = 2
+        bo = GramClient(service.add_user(BO, "boliu"), service.gatekeeper)
+        for _ in range(3):
+            submitted = bo.submit(BO_START)
+            bo.status(submitted.contact)
+        for pep, decisions in ((service.pep, 6), (service.gatekeeper_pep, 3)):
+            assert pep.permits == pep.decisions_made == decisions
+            assert len(pep.audit_log) == 2
+            assert pep.dropped == decisions - 2

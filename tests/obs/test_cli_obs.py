@@ -90,11 +90,11 @@ class TestAuditSummaryMetrics:
 
         entries = load_audit_log(str(exports["audit"]))
         trace_ids = {item["trace"] for item in load_spans(str(exports["spans"]))}
-        assert [entry.request_id for entry in entries] == [
+        assert [entry.correlation_id for entry in entries] == [
             "req-000001",
             "req-000002",
         ]
-        assert {entry.request_id for entry in entries} <= trace_ids
+        assert {entry.correlation_id for entry in entries} <= trace_ids
 
     def test_missing_metrics_file_is_usage_error(self, exports, tmp_path):
         assert main(

@@ -96,8 +96,11 @@ class TestConcurrencySmoke:
         for breaker in config.breakers.values():
             assert breaker.is_consistent(), breaker.transitions
 
-        # The audit log stayed bounded despite hundreds of decisions.
+        # The audit log stayed bounded despite hundreds of decisions,
+        # and no concurrent decision was lost from the counters.
         assert len(pep.audit_log) <= AUDIT_LIMIT
+        assert pep.decisions_made == total
+        assert pep.dropped == total - len(pep.audit_log)
 
         # The fault saw every underlying (non-fast-failed) invocation.
         assert fault.calls <= total
