@@ -7,17 +7,19 @@ the two dynamic mechanisms:
 
 1. a **time-windowed statement** that grants an analyst a huge demo
    allocation only during the demo slot, and
-2. a **versioned policy store** hot-reloading a tightened site policy
-   while the resource keeps running — the next request sees the new
-   version, no restart.
+2. a **versioned policy store** publishing a tightened site policy
+   to a running resource — the next request is decided at the new
+   epoch, no restart — and rolling it back.
 
 Run:  python examples/dynamic_policy.py
 """
 
 from repro import GramClient, GramService, ServiceConfig, parse_policy
+from repro.core.analysis import diff_policies
 from repro.core.callout import GRAM_AUTHZ_CALLOUT
-from repro.core.dynamic import DynamicEvaluator, DynamicPolicy, PolicyStore
+from repro.core.dynamic import DynamicEvaluator, DynamicPolicy
 from repro.core.model import PolicyAssertion, PolicyStatement, Subject
+from repro.core.store import PolicyBundle, VersionedPolicyStore
 
 ALICE = "/O=Grid/OU=fusion/CN=Alice Analyst"
 
@@ -25,6 +27,11 @@ BASE_POLICY = f"""
 {ALICE}:
     &(action=start)(executable=TRANSP)(count<=4)(jobtag!=NULL)
     &(action=information)(jobowner=self)
+"""
+
+TIGHTENED_POLICY = f"""
+{ALICE}:
+    &(action=start)(executable=TRANSP)(count<=2)(jobtag!=NULL)
 """
 
 DEMO_JOB = "&(executable=TRANSP)(count=16)(jobtag=DEMO)(runtime=50)"
@@ -63,23 +70,32 @@ def main() -> None:
     print("\n== t=250: window closed again ==")
     print(f"   16-CPU demo job : {alice.submit(DEMO_JOB).code.name}")
 
-    # Hot reload through a versioned store.
+    # Hot reload: a resource serving a versioned store (seeded from
+    # its configured policy) swaps in every publish atomically.
     print("\n== policy store: hot-reloading a tightened policy ==")
-    store = PolicyStore(parse_policy(BASE_POLICY, name="vo"), clock=service.clock)
-    service.registry.clear(GRAM_AUTHZ_CALLOUT)
-    service.registry.register(GRAM_AUTHZ_CALLOUT, store.callout())
-
-    print(f"   v{store.version}: normal job -> {alice.submit(NORMAL_JOB).code.name}")
-    diff = store.install_text(
-        f"{ALICE}:\n    &(action=start)(executable=TRANSP)(count<=2)(jobtag!=NULL)\n",
-        comment="site tightens the analyst cap",
+    store = VersionedPolicyStore()
+    served = GramService(
+        ServiceConfig(
+            node_count=8,
+            cpus_per_node=4,
+            policies=(parse_policy(BASE_POLICY, name="vo"),),
+            policy_store=store,
+        )
     )
-    print(f"   installed v{store.version}; diff:")
+    alice = GramClient(served.add_user(ALICE, "alice"), served.gatekeeper)
+
+    print(f"   epoch {store.policy_epoch}: normal job -> "
+          f"{alice.submit(NORMAL_JOB).code.name}")
+    before = store.active()
+    after = store.publish(PolicyBundle.from_texts({"vo": TIGHTENED_POLICY}))
+    print(f"   published epoch {after.epoch} ({after.short_digest}); diff:")
+    diff = diff_policies(before.policies[0], after.policies[0])
     for line in str(diff).splitlines():
         print(f"     {line}")
-    print(f"   v{store.version}: normal job -> {alice.submit(NORMAL_JOB).code.name}")
-    store.rollback(to_version=1)
-    print(f"   rolled back (v{store.version}): normal job -> "
+    print(f"   epoch {store.policy_epoch}: normal job -> "
+          f"{alice.submit(NORMAL_JOB).code.name}")
+    store.rollback()
+    print(f"   rolled back (epoch {store.policy_epoch}): normal job -> "
           f"{alice.submit(NORMAL_JOB).code.name}")
 
 

@@ -81,7 +81,6 @@ from repro.core.analysis import (
 from repro.core.dynamic import (
     DynamicEvaluator,
     DynamicPolicy,
-    PolicyStore,
     TimeWindow,
 )
 from repro.core.pipeline import (
@@ -160,7 +159,6 @@ __all__ = [
     "ImpactReport",
     "DynamicPolicy",
     "DynamicEvaluator",
-    "PolicyStore",
     "TimeWindow",
     "DecisionCache",
     "DecisionContext",

@@ -435,9 +435,8 @@ def compiled_for(policy: Policy) -> CompiledPolicy:
 
     :class:`Policy` is a frozen dataclass, so the compiled form can
     never go stale; caching it on the instance makes per-request
-    evaluator construction (``PolicyStore.evaluate``,
-    ``DynamicEvaluator.evaluate``) compile once per installed policy
-    instead of once per request.
+    evaluator construction (``DynamicEvaluator.evaluate``) compile once
+    per active-window snapshot instead of once per request.
     """
     cached = policy.__dict__.get(_CACHE_ATTR)
     if cached is None:

@@ -1,30 +1,29 @@
-"""Dynamic policies: versioned stores and time-bounded statements.
+"""Dynamic policies: time-bounded statements.
 
 The paper's §1 motivates policies that are "dynamic, adapting over
 time depending on factors such as current resource utilization, a
 member's role in the VO, an active demo for a funding agency that
 should have priority".  Two mechanisms cover those cases:
 
-* :class:`PolicyStore` — a mutable, versioned holder whose evaluator
-  view always reflects the newest installed policy.  Administrators
-  install whole policy texts (e.g. re-read from disk or pushed by the
-  VO); every install is versioned and diffable, and the PEP sees the
-  change on the very next request with no restart.
-* :class:`TimeWindow` / :func:`windowed` — statements that only apply
-  inside a simulated-time window: the "active demo" pattern is a
-  high-priority grant valid for the demo slot and gone afterwards.
+* :class:`repro.core.store.VersionedPolicyStore` — whole policy
+  texts published (re-read from disk or pushed by the VO) as
+  versioned, diffable bundles that the PEP serves from the very next
+  request with no restart.
+* :class:`TimeWindow` / :class:`DynamicPolicy` (this module) —
+  statements that only apply inside a simulated-time window: the
+  "active demo" pattern is a high-priority grant valid for the demo
+  slot and gone afterwards.  A :class:`DynamicEvaluator` carries its
+  own epoch (mutations plus the windows active now).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List, Tuple
 
-from repro.core.analysis import PolicyDiff, diff_policies
 from repro.core.decision import Decision
 from repro.core.evaluator import PolicyEvaluator
 from repro.core.model import Policy, PolicyStatement
-from repro.core.parser import parse_policy
 from repro.core.request import AuthorizationRequest
 from repro.sim.clock import Clock
 
@@ -146,98 +145,3 @@ class DynamicEvaluator:
         evaluator = PolicyEvaluator(policy, source=self.source)
         evaluator.policy_epoch = self.policy_epoch
         return evaluator.evaluate(request)
-
-
-@dataclass(frozen=True)
-class PolicyVersion:
-    """One installed version of a store's policy."""
-
-    version: int
-    policy: Policy
-    installed_at: float
-    comment: str = ""
-
-
-class PolicyStore:
-    """A mutable, versioned policy holder with hot reload.
-
-    The PEP-facing view (:meth:`evaluate` or :meth:`callout`) always
-    uses the current version, so policy updates take effect on the
-    next authorization decision — the paper's dynamic-policy
-    requirement without restarting any GRAM component.
-    """
-
-    def __init__(self, initial: Policy, clock: Optional[Clock] = None) -> None:
-        self.clock = clock or Clock()
-        self._versions: List[PolicyVersion] = []
-        self._install(initial, comment="initial")
-        self.listeners: List[Callable[[PolicyVersion, PolicyDiff], None]] = []
-
-    # -- installation -----------------------------------------------------
-
-    def install(self, policy: Policy, comment: str = "") -> PolicyDiff:
-        """Install a new policy version; returns the diff."""
-        diff = diff_policies(self.current, policy)
-        version = self._install(policy, comment=comment)
-        for listener in list(self.listeners):
-            listener(version, diff)
-        return diff
-
-    def install_text(self, text: str, comment: str = "") -> PolicyDiff:
-        """Parse and install policy *text* (the reload-from-file path)."""
-        return self.install(
-            parse_policy(text, name=self.current.name), comment=comment
-        )
-
-    def rollback(self, to_version: int) -> PolicyDiff:
-        """Reinstall an earlier version (as a new version)."""
-        for entry in self._versions:
-            if entry.version == to_version:
-                return self.install(
-                    entry.policy, comment=f"rollback to v{to_version}"
-                )
-        raise KeyError(f"no version {to_version}")
-
-    def _install(self, policy: Policy, comment: str) -> PolicyVersion:
-        version = PolicyVersion(
-            version=len(self._versions) + 1,
-            policy=policy,
-            installed_at=self.clock.now,
-            comment=comment,
-        )
-        self._versions.append(version)
-        return version
-
-    # -- views --------------------------------------------------------------
-
-    @property
-    def current(self) -> Policy:
-        return self._versions[-1].policy
-
-    @property
-    def version(self) -> int:
-        return self._versions[-1].version
-
-    @property
-    def policy_epoch(self) -> int:
-        """Bumps on every install/rollback — decision-cache hook."""
-        return self.version
-
-    def history(self) -> Tuple[PolicyVersion, ...]:
-        return tuple(self._versions)
-
-    def evaluate(self, request: AuthorizationRequest) -> Decision:
-        evaluator = PolicyEvaluator(
-            self.current, source=f"{self.current.name or 'store'}@v{self.version}"
-        )
-        evaluator.policy_epoch = self.policy_epoch
-        return evaluator.evaluate(request)
-
-    def callout(self):
-        """A GRAM callout bound to this store's *current* policy."""
-
-        def evaluate(request: AuthorizationRequest) -> Decision:
-            return self.evaluate(request)
-
-        evaluate.__name__ = f"store:{self.current.name or 'policy'}"
-        return evaluate

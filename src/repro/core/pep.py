@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import threading
 from collections import deque
-from typing import Any, Deque, Optional, Sequence, Tuple
+from typing import Any, Deque, List, Optional, Tuple
 
 from repro.core.callout import (
     GRAM_AUTHZ_CALLOUT,
@@ -55,11 +55,11 @@ class PEPPlacement(enum.Enum):
 class EnforcementPoint:
     """A PEP bound to a callout registry, a placement and a middleware stack.
 
-    The stack runs outermost-first: any extra middlewares, resilience,
-    capability, then the decision cache (each when configured) sitting
-    directly in front of the callout chain, so a hit skips policy
-    evaluation entirely.  :meth:`authorize` counts every outcome and
-    keeps the finished contexts in a bounded ring (:attr:`audit_log`).
+    The stack runs outermost-first: resilience, capability, then the
+    decision cache (each when configured) sitting directly in front of
+    the callout chain, so a hit skips policy evaluation entirely.
+    :meth:`authorize` counts every outcome and keeps the finished
+    contexts in a bounded ring (:attr:`audit_log`).
     """
 
     def __init__(
@@ -68,7 +68,6 @@ class EnforcementPoint:
         callout_type: str = GRAM_AUTHZ_CALLOUT,
         placement: PEPPlacement = PEPPlacement.JOB_MANAGER,
         audit_limit: int = 10_000,
-        middlewares: Sequence[DecisionMiddleware] = (),
         resilience: Optional[DecisionMiddleware] = None,
         capability: Optional[DecisionMiddleware] = None,
         cache: Optional[DecisionCache] = None,
@@ -81,7 +80,6 @@ class EnforcementPoint:
         self.resilience = resilience
         self.capability = capability
         self.cache = cache
-        self._extra_middlewares = list(middlewares)
         self._chain: Optional[NextHandler] = None
         self._audit_limit = audit_limit
         self._audit: Deque[DecisionContext] = deque(maxlen=audit_limit)
@@ -103,7 +101,7 @@ class EnforcementPoint:
 
     @property
     def middlewares(self) -> Tuple[DecisionMiddleware, ...]:
-        stack = list(self._extra_middlewares)
+        stack: List[DecisionMiddleware] = []
         if self.resilience is not None:
             # Outside the cache: a cache hit never needs degradation,
             # and a failing callout chain is caught before it is counted.
@@ -117,36 +115,15 @@ class EnforcementPoint:
             stack.append(self.cache)
         return tuple(stack)
 
-    def add_middleware(self, middleware: DecisionMiddleware) -> None:
-        """Insert *middleware* outside resilience and the decision cache."""
-        self._extra_middlewares.append(middleware)
-        self._chain = None
-
     def use_resilience(self, middleware: DecisionMiddleware) -> DecisionMiddleware:
         """Enable (or replace) the resilience/degradation middleware.
 
         Typically a :class:`~repro.core.resilience.ResilienceMiddleware`;
-        it sits between the extra middlewares and the decision cache.
+        it sits outermost, in front of capability and the decision cache.
         """
         self.resilience = middleware
         self._chain = None
         return middleware
-
-    def use_capability(self, middleware: DecisionMiddleware) -> DecisionMiddleware:
-        """Enable (or replace) the capability validate-first fast path.
-
-        Typically a :class:`~repro.core.capability.CapabilityMiddleware`;
-        it sits between resilience and the decision cache.
-        """
-        self.capability = middleware
-        self._chain = None
-        return middleware
-
-    def use_cache(self, cache: Optional[DecisionCache] = None) -> DecisionCache:
-        """Enable (or replace) the policy-epoch decision cache."""
-        self.cache = cache if cache is not None else DecisionCache()
-        self._chain = None
-        return self.cache
 
     def _handler(self) -> NextHandler:
         if self._chain is None:

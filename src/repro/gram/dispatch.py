@@ -98,8 +98,6 @@ class ShardRouter:
         shards: int,
         key_fn: Optional[Callable[[str], str]] = None,
     ) -> None:
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
         self.shards = shards
         self._key_fn = key_fn
         # DN string -> shard index.  Callers may route from several
@@ -367,16 +365,10 @@ class ShardedGramService:
         if not self.config.health_slo:
             return None
         monitor = HealthMonitor(
-            window=self.config.health_window,
-            retain=self.config.health_retain,
-            specs=self.config.health_specs,
-            recorder_limit=self.config.flight_recorder_limit,
-            start=self.shards[0].clock.now,
+            window=self.config.health_window, start=self.shards[0].clock.now
         )
         monitor.add_scope("service", self.merged_snapshot)
         for index, shard in enumerate(self.shards):
-            if shard.telemetry is None:
-                continue
             monitor.add_scope(
                 f"shard{index}", shard.telemetry.registry.snapshot
             )

@@ -380,14 +380,13 @@ class Gatekeeper:
         )
 
     def _job_terminal(self, jmi: JobManagerInstance, job) -> None:
-        """Terminal listener for a started job: release + (optionally) reap.
+        """Terminal listener for a started job: release + reap.
 
         Invoked exactly once per started job by the JMI's per-job
         scheduler registration, after enforcement accounting closed.
         """
         self.admission.release(str(jmi.owner))
-        if self.lifecycle.reap:
-            self._reap(jmi, job)
+        self._reap(jmi, job)
         self._publish_lifecycle_gauges()
 
     def _reap(self, jmi: JobManagerInstance, job) -> None:

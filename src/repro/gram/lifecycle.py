@@ -48,10 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class LifecycleConfig:
     """Knobs of the Gatekeeper's job-lifecycle layer."""
 
-    #: Reap terminal JMIs into the completed-job store (and drop the
-    #: LRM-side record).  Off means GT2 stock behaviour: JMIs live
-    #: until the resource restarts.
-    reap: bool = True
     #: How many completed-job records to retain (FIFO eviction).
     completed_retention: int = 1024
     #: Maximum age, in *simulated* seconds, of a retained completed

@@ -31,16 +31,11 @@ from repro.core.callout import (
     CalloutRegistry,
     default_registry,
 )
-from repro.core.combination import CombinationAlgorithm
 from repro.core.model import Policy
 from repro.core.pep import EnforcementPoint, PEPPlacement
 from repro.core.query import QueryEngine
 from repro.core.pipeline import DecisionCache
-from repro.core.resilience import (
-    DegradationMode,
-    ResilienceConfig,
-    RetryPolicy,
-)
+from repro.core.resilience import ResilienceConfig
 from repro.core.store import (
     REJECT_SOURCES,
     BundleRejected,
@@ -73,10 +68,8 @@ class ServiceConfig:
     mode: AuthorizationMode = AuthorizationMode.EXTENDED
     #: Policy sources combined by the PEP (VO policy, local policy, ...).
     policies: Tuple[Policy, ...] = ()
-    combination: CombinationAlgorithm = CombinationAlgorithm.ALL_MUST_PERMIT
     #: "static", "dynamic", "sandbox", or None for no enforcement layer.
     enforcement: Optional[str] = "static"
-    sandbox_interval: float = 1.0
     dynamic_pool_size: int = 0
     #: Place an additional PEP in the Gatekeeper (§6.2 comparison).
     pep_in_gatekeeper: bool = False
@@ -91,31 +84,18 @@ class ServiceConfig:
     #: until a policy source mutates.
     decision_cache: bool = False
     #: Wrap the configured authorization callouts with the resilience
-    #: layer — per-call timeout, bounded retry, per-source circuit
-    #: breaker — and attach the selected degradation middleware to the
-    #: PEPs (:mod:`repro.core.resilience`).
+    #: layer at its defaults (:class:`repro.core.resilience.ResilienceConfig`:
+    #: per-source circuit breaker, fail-closed degradation).  To tune
+    #: it, build without this and call
+    #: :meth:`GramService.harden` with a ``ResilienceConfig``.
     resilience: bool = False
-    #: What the PEP does when the authorization system fails:
-    #: fail-closed (deny, naming the failed source) or fail-static
-    #: (serve the last-known-good decision for the same policy epoch).
-    degradation: DegradationMode = DegradationMode.FAIL_CLOSED
-    #: Per-call time budget in simulated seconds (None = no timeout).
-    callout_timeout: Optional[float] = None
-    #: Retry policy for failing callouts (None = single attempt).
-    callout_retry: Optional[RetryPolicy] = None
-    breaker_failure_threshold: int = 5
-    breaker_reset_timeout: float = 30.0
     #: Unified telemetry (:mod:`repro.obs`): labeled metrics registry
     #: plus correlated span tracing across Gatekeeper → JMI → PEP →
     #: callout → policy-source.  Deterministic under the sim clock and
     #: cheap, so it is on by default.
     telemetry: bool = True
-    #: Reap terminal JMIs into the Gatekeeper's bounded completed-job
-    #: store (:mod:`repro.gram.lifecycle`), keeping resident job state
-    #: O(active jobs) under sustained churn.  Post-completion
-    #: ``information``/``status`` requests still answer from the store.
-    reap_jmis: bool = True
-    #: Completed-job records retained after reaping (FIFO eviction).
+    #: Completed-job records retained after the Gatekeeper reaps a
+    #: terminal JMI (FIFO eviction; see :mod:`repro.gram.lifecycle`).
     completed_retention: int = 1024
     #: Maximum age in simulated seconds of a retained completed-job
     #: record (None = count bound only); see
@@ -133,8 +113,6 @@ class ServiceConfig:
     #: served by validate-first (signature/TTL/epoch/scope) instead of
     #: re-deciding.  Fail-closed: any epoch bump revokes.
     capability_grants: bool = False
-    #: Capability lifetime in simulated seconds.
-    capability_ttl: float = 300.0
     #: Reverse-index admission fast-deny (:mod:`repro.core.query`):
     #: the Gatekeeper answers submissions whose (identity, start) is a
     #: *guaranteed* DENY straight from the epoch-guarded reverse
@@ -170,13 +148,6 @@ class ServiceConfig:
     health_slo: bool = False
     #: Window width in simulated seconds for health evaluation.
     health_window: float = 5.0
-    #: Closed windows retained per scope (the burn-rate history).
-    health_retain: int = 120
-    #: SLO specs to evaluate (None/() = the stock
-    #: :func:`repro.obs.health.default_slo_specs`).
-    health_specs: Tuple = ()
-    #: Decision entries the anomaly flight recorder retains.
-    flight_recorder_limit: int = 256
     #: Durable, versioned policy control plane
     #: (:class:`repro.core.store.VersionedPolicyStore`).  When set,
     #: the service serves the store's *active* snapshot (seeding the
@@ -194,6 +165,16 @@ class ServiceConfig:
     #: pre-restart service.  A sharded service derives one file per
     #: shard from this base path.
     spill_path: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        # Both the flat and the sharded service build from this config,
+        # so a bad combination is rejected here, before either wires.
+        if self.enforcement not in (None, "static", "dynamic", "sandbox"):
+            raise ValueError(f"unknown enforcement kind {self.enforcement!r}")
+        if self.shards < 1:
+            raise ValueError("shards must be >= 1")
+        if self.health_slo and not self.telemetry:
+            raise ValueError("health_slo requires telemetry")
 
 
 class GramService:
@@ -322,7 +303,6 @@ class GramService:
         #: reads it for merged snapshots; see ``repro.gram.dispatch``).
         self.shard_state = ShardState(
             LifecycleConfig(
-                reap=self.config.reap_jmis,
                 completed_retention=self.config.completed_retention,
                 completed_retention_age=self.config.completed_retention_age,
                 max_jobs_per_user=self.config.max_jobs_per_user,
@@ -406,14 +386,12 @@ class GramService:
                 "new GramService to change the resilience configuration"
             )
         if resilience is None:
-            resilience = ResilienceConfig(
-                clock=self.clock,
-                timeout=self.config.callout_timeout,
-                retry=self.config.callout_retry,
-                failure_threshold=self.config.breaker_failure_threshold,
-                reset_timeout=self.config.breaker_reset_timeout,
-                mode=self.config.degradation,
-            )
+            resilience = ResilienceConfig()
+        # Timeouts and breaker reset read simulated time: without this
+        # service's clock, a timeout never fires and an open breaker
+        # never half-opens.
+        if resilience.clock is None:
+            resilience.clock = self.clock
         if resilience.registry is None and self.telemetry is not None:
             resilience.registry = self.telemetry.registry
         self.resilience = resilience
@@ -575,14 +553,8 @@ class GramService:
     def _build_health(self) -> Optional[HealthMonitor]:
         if not self.config.health_slo:
             return None
-        if self.telemetry is None:
-            raise ValueError("health_slo requires telemetry")
         monitor = HealthMonitor(
-            window=self.config.health_window,
-            retain=self.config.health_retain,
-            specs=self.config.health_specs,
-            recorder_limit=self.config.flight_recorder_limit,
-            start=self.clock.now,
+            window=self.config.health_window, start=self.clock.now
         )
         monitor.add_scope("service", self.telemetry.registry.snapshot)
         monitor.attach_tracer("service", self.telemetry.tracer)
@@ -596,7 +568,6 @@ class GramService:
         if self._effective_policies:
             callout = combined_policy_callout(
                 list(self._effective_policies),
-                algorithm=self.config.combination,
                 registry=self.telemetry.registry if self.telemetry else None,
             )
             self.combined_evaluator = callout.evaluator
@@ -644,7 +615,6 @@ class GramService:
         issuer = CapabilityIssuer(
             key=key,
             clock=self.clock,
-            ttl=self.config.capability_ttl,
             epoch_sources=epoch_sources,
         )
         return CapabilityMiddleware(
@@ -691,10 +661,4 @@ class GramService:
             return StaticAccountEnforcement()
         if kind == "dynamic":
             return DynamicAccountEnforcement()
-        if kind == "sandbox":
-            return SandboxEnforcement(
-                scheduler=self.scheduler,
-                clock=self.clock,
-                interval=self.config.sandbox_interval,
-            )
-        raise ValueError(f"unknown enforcement kind {kind!r}")
+        return SandboxEnforcement(scheduler=self.scheduler, clock=self.clock)

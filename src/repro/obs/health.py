@@ -35,7 +35,6 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Sequence,
     Tuple,
 )
 

@@ -23,7 +23,12 @@ from repro.core.capability import (
 )
 from repro.core.decision import Decision, Effect
 from repro.core.pep import EnforcementPoint
-from repro.core.pipeline import DecisionContext, EpochCounter, request_key
+from repro.core.pipeline import (
+    DecisionCache,
+    DecisionContext,
+    EpochCounter,
+    request_key,
+)
 from repro.core.request import AuthorizationRequest
 from repro.rsl.parser import parse_specification
 from repro.sim.clock import Clock, SimulationError
@@ -263,11 +268,11 @@ def deny_callout(request, context=None):
     return Decision.deny(reasons=("no",), source="test")
 
 
-def build_pep(callout=permit_callout, issuer=None):
+def build_pep(callout=permit_callout, issuer=None, cache=None):
     registry = CalloutRegistry()
     registry.register(GRAM_AUTHZ_CALLOUT, callout)
     middleware = CapabilityMiddleware(issuer or make_issuer())
-    pep = EnforcementPoint(registry=registry, capability=middleware)
+    pep = EnforcementPoint(registry=registry, capability=middleware, cache=cache)
     return pep, middleware
 
 
@@ -334,21 +339,9 @@ class TestMiddlewareInThePEP:
         assert refreshed.context.capability.expires_at == 60.0
 
     def test_capability_sits_in_front_of_the_cache(self):
-        pep, _ = build_pep()
+        pep, _ = build_pep(cache=DecisionCache())
         names = [getattr(m, "name", "") for m in pep.middlewares]
-        assert "capability" in names
-        pep.use_cache()
-        names = [getattr(m, "name", "") for m in pep.middlewares]
-        assert names.index("capability") < names.index("decision-cache")
-
-    def test_use_capability_installs_on_a_plain_pep(self):
-        registry = CalloutRegistry()
-        registry.register(GRAM_AUTHZ_CALLOUT, permit_callout)
-        pep = EnforcementPoint(registry=registry)
-        pep.use_capability(CapabilityMiddleware(make_issuer()))
-        request = start()
-        pep.authorize(request)
-        assert pep.authorize(request).context.cache_status == CAPABILITY_HIT
+        assert names == ["capability", "decision-cache"]
 
     def test_context_to_dict_carries_the_token_id(self):
         pep, _ = build_pep()

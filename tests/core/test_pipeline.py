@@ -18,8 +18,8 @@ from repro.core.capability import (
     default_capability_key,
 )
 from repro.core.decision import Effect
-from repro.core.dynamic import PolicyStore
 from repro.core.errors import AuthorizationDenied, AuthorizationSystemFailure
+from repro.core.evaluator import PolicyEvaluator
 from repro.core.parser import parse_policy
 from repro.core.pep import EnforcementPoint
 from repro.core.pipeline import (
@@ -31,6 +31,7 @@ from repro.core.pipeline import (
 )
 from repro.core.request import AuthorizationRequest
 from repro.core.resilience import DegradationMode, ResilienceConfig
+from repro.core.store import PolicyBundle, VersionedPolicyStore
 from repro.gram.audit import export_audit_log, load_audit_log
 from repro.rsl.parser import parse_specification
 from repro.sim.clock import Clock
@@ -302,18 +303,24 @@ class TestPolicyEpochInvalidation:
     epoch and invalidates the cached decision on the very next check."""
 
     def test_store_mutation_invalidates_cached_decision(self):
-        store = PolicyStore(parse_policy(GRANT_ALICE, name="vo"))
-        registry = CalloutRegistry()
-        registry.register(GRAM_AUTHZ_CALLOUT, store.callout())
+        store = VersionedPolicyStore()
+        store.publish(PolicyBundle.from_texts({"vo": GRANT_ALICE}))
+
+        def serve_active(request):
+            (policy,) = store.active().policies
+            return PolicyEvaluator(policy, source="vo").evaluate(request)
+
+        # The store is the cache's only epoch source: the callout reads
+        # the active snapshot, so only the store's epoch can invalidate.
         cache = DecisionCache(epoch_sources=[store])
-        pep = EnforcementPoint(registry=registry, cache=cache)
+        pep = make_pep(serve_active, cache=cache)
         request = start_request()
 
         epoch_before = store.policy_epoch
         assert pep.authorize(request).context.cache_status == CACHE_MISS
         assert pep.authorize(request).context.cache_status == CACHE_HIT
 
-        store.install_text(DENY_EVERYONE, comment="revoke start")
+        store.publish(PolicyBundle.from_texts({"vo": DENY_EVERYONE}))
         assert store.policy_epoch == epoch_before + 1
 
         with pytest.raises(AuthorizationDenied) as excinfo:
@@ -322,11 +329,13 @@ class TestPolicyEpochInvalidation:
         assert cache.hits == 1
 
     def test_rollback_also_bumps_the_epoch(self):
-        store = PolicyStore(parse_policy(GRANT_ALICE, name="vo"))
-        store.install_text(DENY_EVERYONE)
+        store = VersionedPolicyStore()
+        first = store.publish(PolicyBundle.from_texts({"vo": GRANT_ALICE}))
+        store.publish(PolicyBundle.from_texts({"vo": DENY_EVERYONE}))
         before = store.policy_epoch
-        store.rollback(to_version=1)
+        restored = store.rollback(to=first.digest)
         assert store.policy_epoch == before + 1
+        assert restored.digest == first.digest
 
     def test_combined_evaluator_epoch_covers_all_sources(self):
         callout = combined_policy_callout(
@@ -352,36 +361,18 @@ class TestPolicyEpochInvalidation:
 
 
 class TestMiddlewareStack:
-    def test_custom_middleware_observes_decisions(self):
-        seen = []
-
-        def observer(request, context, call_next):
-            decision = call_next(request, context)
-            seen.append((context.requester, decision.effect))
-            return decision
-
-        pep = make_pep(permit_all, middlewares=(observer,))
-        pep.authorize(start_request())
-        assert seen == [(ALICE, Effect.PERMIT)]
-
     def test_stack_order(self):
-        def observer(request, context, call_next):
-            return call_next(request, context)
-
-        pep = make_pep(
-            permit_all, middlewares=(observer,), cache=DecisionCache()
+        issuer = CapabilityIssuer(
+            key=default_capability_key("grid.example.org"), clock=Clock()
         )
-        names = [getattr(m, "name", "custom") for m in pep.middlewares]
-        assert names == ["custom", "decision-cache"]
-
-    def test_use_cache_enables_late(self):
-        pep = make_pep(permit_all)
-        pep.authorize(start_request())
-        cache = pep.use_cache()
-        pep.authorize(start_request())
-        pep.authorize(start_request())
-        assert cache.hits == 1
-        assert len(pep.audit_log) == 3
+        pep = make_pep(
+            permit_all,
+            resilience=ResilienceConfig().middleware(),
+            capability=CapabilityMiddleware(issuer),
+            cache=DecisionCache(),
+        )
+        names = [m.name for m in pep.middlewares]
+        assert names == ["resilience", "capability", "decision-cache"]
 
 
 class _Switch:
@@ -397,8 +388,12 @@ class _Switch:
         return self.callout(request)
 
 
-def _epoch_pep():
-    """A PEP over VO and local policies whose sources carry epochs."""
+def _epoch_pep(**middleware):
+    """A PEP over VO and local policies whose sources carry epochs.
+
+    Each keyword names a PEP constructor argument and gives a factory
+    called with the combined evaluator (the epoch source it watches).
+    """
     callout = combined_policy_callout(
         [
             parse_policy(GRANT_ALICE, name="vo"),
@@ -406,7 +401,11 @@ def _epoch_pep():
         ]
     )
     switch = _Switch(callout)
-    return make_pep(switch), switch, callout.evaluator
+    evaluator = callout.evaluator
+    pep = make_pep(
+        switch, **{name: build(evaluator) for name, build in middleware.items()}
+    )
+    return pep, switch, evaluator
 
 
 def _permit_record():
@@ -430,8 +429,9 @@ def _failure_record():
 
 
 def _cache_hit_record():
-    pep, _, evaluator = _epoch_pep()
-    pep.use_cache(DecisionCache(epoch_sources=[evaluator]))
+    pep, _, _ = _epoch_pep(
+        cache=lambda evaluator: DecisionCache(epoch_sources=[evaluator])
+    )
     pep.authorize(start_request())
     context = pep.authorize(start_request()).context
     assert context.cache_status == CACHE_HIT
@@ -439,13 +439,15 @@ def _cache_hit_record():
 
 
 def _capability_record():
-    pep, _, evaluator = _epoch_pep()
-    issuer = CapabilityIssuer(
-        key=default_capability_key("grid.example.org"),
-        clock=Clock(),
-        epoch_sources=[("policy", evaluator)],
-    )
-    pep.use_capability(CapabilityMiddleware(issuer))
+    def capability(evaluator):
+        issuer = CapabilityIssuer(
+            key=default_capability_key("grid.example.org"),
+            clock=Clock(),
+            epoch_sources=[("policy", evaluator)],
+        )
+        return CapabilityMiddleware(issuer)
+
+    pep, _, _ = _epoch_pep(capability=capability)
     pep.authorize(start_request())
     context = pep.authorize(start_request()).context
     assert context.cache_status == CAPABILITY_HIT

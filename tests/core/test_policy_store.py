@@ -147,6 +147,7 @@ class TestRollback:
         assert rolled.epoch == 3
         assert rolled.digest == first.digest
         assert rolled.origin == "rollback"
+        assert [s.epoch for s in store.log_entries()] == [1, 2, 3]
 
     def test_rollback_by_digest(self):
         store = VersionedPolicyStore()
@@ -160,6 +161,8 @@ class TestRollback:
         store.publish(bundle())
         with pytest.raises(PolicyStoreError):
             store.rollback(steps=5)
+        with pytest.raises(PolicyStoreError):
+            store.rollback(to="no-such")
         with pytest.raises(PolicyStoreError):
             VersionedPolicyStore().rollback()
 

@@ -87,8 +87,9 @@ class TestShardRouter:
         assert shards == {0, 1, 2, 3}
 
     def test_zero_shards_rejected(self):
-        with pytest.raises(ValueError):
-            ShardRouter(0)
+        # The router is built from a config, which rejects the count.
+        with pytest.raises(ValueError, match="shards"):
+            ServiceConfig(shards=0)
 
 
 class TestSharedGauge:

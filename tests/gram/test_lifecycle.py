@@ -69,17 +69,6 @@ class TestReaping:
         assert record.state is GramJobState.FAILED
         assert "cancel" in record.exit_reason
 
-    def test_reaping_can_be_disabled(self):
-        service = build(reap_jmis=False)
-        client = GramClient(service.add_user(OWNER, "owner"), service.gatekeeper)
-        response = client.submit(RSL)
-        service.run(10.0)
-        # GT2 stock behaviour: the JMI lives on and still answers.
-        assert service.gatekeeper.active_job_managers == 1
-        assert service.gatekeeper.completed_jobs == 0
-        status = client.status(response.contact)
-        assert status.ok and status.state is GramJobState.DONE
-
     def test_retention_bounds_the_store(self):
         service = build(completed_retention=3)
         client = GramClient(service.add_user(OWNER, "owner"), service.gatekeeper)

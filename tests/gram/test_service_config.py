@@ -3,11 +3,19 @@
 import pytest
 
 from repro.core.callout import GRAM_AUTHZ_CALLOUT
+from repro.core.combination import CombinationAlgorithm
 from repro.core.parser import parse_policy
+from repro.core.resilience import DegradationMode, ResilienceConfig
+from repro.gram.client import GramClient
+from repro.gram.dispatch import ShardedGramService
 from repro.gram.jobmanager import AuthorizationMode
 from repro.gram.service import GramService, ServiceConfig
+from repro.obs.health import default_slo_specs
+from repro.testing import LatencyFault, inject
 
 ALICE = "/O=Grid/OU=cfg/CN=Alice"
+POLICY = f"{ALICE}: &(action=start)(executable=sim)"
+RSL = "&(executable=sim)(count=1)(runtime=10)"
 
 
 class TestEnforcementKinds:
@@ -30,6 +38,23 @@ class TestEnforcementKinds:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             GramService(ServiceConfig(enforcement="blockchain"))
+
+
+class TestConfigValidation:
+    """Bad values fail when the config is built, so the flat and the
+    sharded service reject them alike."""
+
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            (dict(enforcement="blockchain"), "enforcement"),
+            (dict(health_slo=True, telemetry=False), "telemetry"),
+            (dict(health_slo=True, telemetry=False, shards=4), "telemetry"),
+        ],
+    )
+    def test_rejected_at_construction(self, overrides, match):
+        with pytest.raises(ValueError, match=match):
+            ServiceConfig(**overrides)
 
 
 class TestCalloutWiring:
@@ -105,7 +130,6 @@ class TestHardenIdempotency:
 class TestLifecycleConfigWiring:
     def test_defaults_reap_with_bounded_retention(self):
         gatekeeper = GramService(ServiceConfig()).gatekeeper
-        assert gatekeeper.lifecycle.reap is True
         assert gatekeeper.completed.retention == 1024
         assert gatekeeper.lifecycle.max_jobs_per_user is None
         assert gatekeeper.lifecycle.max_active_jmis is None
@@ -113,14 +137,83 @@ class TestLifecycleConfigWiring:
     def test_caps_and_retention_flow_to_the_gatekeeper(self):
         service = GramService(
             ServiceConfig(
-                reap_jmis=False,
                 completed_retention=7,
                 max_jobs_per_user=3,
                 max_active_jmis=11,
             )
         )
         lifecycle = service.gatekeeper.lifecycle
-        assert lifecycle.reap is False
         assert service.gatekeeper.completed.retention == 7
         assert lifecycle.max_jobs_per_user == 3
         assert lifecycle.max_active_jmis == 11
+
+
+def stacks_of(service):
+    """The plain service stacks behind a flat or a sharded service."""
+    return service.shards if isinstance(service, ShardedGramService) else [service]
+
+
+class TestHardenWithAConfig:
+    @pytest.mark.parametrize(
+        "service_class", [GramService, ShardedGramService], ids=["flat", "sharded"]
+    )
+    def test_timeouts_and_breaker_reset_run_on_the_service_clock(
+        self, service_class
+    ):
+        service = service_class(
+            ServiceConfig(policies=(parse_policy(POLICY, name="vo"),))
+        )
+        client = GramClient(service.add_user(ALICE, "alice"), service.gatekeeper)
+        (stack,) = stacks_of(service)
+        fault = LatencyFault(stack.clock, latency=5.0)
+        inject(stack.registry, GRAM_AUTHZ_CALLOUT, fault)
+        service.harden(ResilienceConfig(timeout=1.0, failure_threshold=2))
+
+        kinds = [client.submit(RSL).failure_kind for _ in range(3)]
+        assert kinds == ["timeout", "timeout", "breaker-open"]
+        assert stack.resilience.metrics.timeouts == 2
+        fault.enabled = False
+        service.run(30.0)  # the default reset timeout
+        assert client.submit(RSL).ok
+
+
+class TestRemovedKnobDefaults:
+    """Values that used to be ServiceConfig fields are the callees'
+    defaults, on the flat service and on every shard alike."""
+
+    @pytest.mark.parametrize(
+        "service_class, shards",
+        [(GramService, 1), (ShardedGramService, 4)],
+        ids=["flat", "4-shard"],
+    )
+    def test_stock_values(self, service_class, shards):
+        service = service_class(
+            ServiceConfig(
+                policies=(
+                    parse_policy(POLICY, name="vo"),
+                    parse_policy(POLICY, name="local"),
+                ),
+                enforcement="sandbox",
+                capability_grants=True,
+                health_slo=True,
+                shards=shards,
+            )
+        )
+        for stack in stacks_of(service):
+            assert stack.combined_evaluator.algorithm is (
+                CombinationAlgorithm.ALL_MUST_PERMIT
+            )
+            assert stack.enforcement.interval == 1.0
+            assert stack.capability.issuer.ttl == 300.0
+        monitor = service.health
+        assert monitor.retain == 120
+        assert monitor.engine.specs == list(default_slo_specs())
+        assert monitor.recorder.limit == 256
+        service.harden()
+        for stack in stacks_of(service):
+            resilience = stack.resilience
+            assert resilience.timeout is None
+            assert resilience.retry is None
+            assert resilience.failure_threshold == 5
+            assert resilience.reset_timeout == 30.0
+            assert resilience.mode is DegradationMode.FAIL_CLOSED

@@ -17,7 +17,7 @@ import itertools
 import json
 
 from repro.core.parser import parse_policy
-from repro.core.resilience import RetryPolicy
+from repro.core.resilience import ResilienceConfig, RetryPolicy
 from repro.gram import protocol
 from repro.gram.client import GramClient
 from repro.gram.service import GramService, ServiceConfig
@@ -54,12 +54,6 @@ def run_scenario():
                 parse_policy(FIGURE3_POLICY_TEXT, name="vo"),
                 parse_policy(LOCAL_POLICY, name="local"),
             ),
-            callout_timeout=1.0,
-            callout_retry=RetryPolicy(
-                max_attempts=3, base_delay=4.0, multiplier=2.0, jitter=0.0
-            ),
-            breaker_failure_threshold=2,
-            breaker_reset_timeout=6.0,
         )
     )
     bo = GramClient(service.add_user(BO, "boliu"), service.gatekeeper)
@@ -72,7 +66,16 @@ def run_scenario():
         [(1, None), (2, LatencyFault(service.clock, SOURCE_LATENCY))]
     )
     inject(service.registry, "gram.authz", fault)
-    service.harden()
+    service.harden(
+        ResilienceConfig(
+            timeout=1.0,
+            retry=RetryPolicy(
+                max_attempts=3, base_delay=4.0, multiplier=2.0, jitter=0.0
+            ),
+            failure_threshold=2,
+            reset_timeout=6.0,
+        )
+    )
 
     submitted = bo.submit(BO_START)
     assert submitted.ok, submitted.message

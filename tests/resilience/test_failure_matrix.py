@@ -1,6 +1,6 @@
 """The failure matrix: every policy source × every fault mode.
 
-For each source backing the GRAM authorization callout (dynamic
+For each source backing the GRAM authorization callout (versioned
 policy store, CAS, Akenti, grid-mapfile) and each injected fault
 (timeout, exception, intermittent flap, byzantine wrong-answer), the
 GRAM protocol must keep the paper's §5.2 distinction intact: policy
@@ -14,13 +14,13 @@ import pytest
 
 from repro.core.builtin_callouts import gridmap_callout
 from repro.core.callout import GRAM_AUTHZ_CALLOUT
-from repro.core.dynamic import PolicyStore
 from repro.core.parser import parse_policy
 from repro.core.resilience import (
     DegradationMode,
     ResilienceConfig,
     RetryPolicy,
 )
+from repro.core.store import PolicyBundle, VersionedPolicyStore
 from repro.gram.client import GramClient
 from repro.gram.protocol import GramErrorCode
 from repro.gram.service import GramService, ServiceConfig
@@ -35,6 +35,9 @@ POLICY_TEXT = (
     f"{ALICE}: &(action=start)(executable=sim) &(action=information) "
     "&(action=cancel)(jobowner=self)"
 )
+#: Changed content that still grants GOOD: publishing it bumps the
+#: store's epoch (republishing identical content is a no-op).
+REISSUED_TEXT = POLICY_TEXT + " &(action=signal)(jobowner=self)"
 GOOD = "&(executable=sim)(count=1)(runtime=50)"
 BAD = "&(executable=rogue)(count=1)"
 
@@ -60,21 +63,21 @@ def build_scenario(source_name) -> _Scenario:
     resilience wrapper then goes around the faulty callout, exactly
     like a slow real source behind the production wrapper.
     """
+    policy = parse_policy(POLICY_TEXT, name="vo")
+    if source_name == "policy-store":
+        # Served the production way: the combined callout evaluates the
+        # store's active snapshot, and each publish swaps it in.
+        store = VersionedPolicyStore()
+        service = GramService(ServiceConfig(policies=(policy,), policy_store=store))
+        client = GramClient(service.add_user(ALICE, "alice"), service.gatekeeper)
+        (label,) = service.registry.callout_labels(GRAM_AUTHZ_CALLOUT)
+        return _Scenario(
+            service, client, label, store, deny=lambda: client.submit(BAD)
+        )
+
     service = GramService(ServiceConfig())
     credential = service.add_user(ALICE, "alice")
     service.registry.clear(GRAM_AUTHZ_CALLOUT)
-    policy = parse_policy(POLICY_TEXT, name="vo")
-
-    if source_name == "policy-store":
-        store = PolicyStore(policy, clock=service.clock)
-        service.registry.register(
-            GRAM_AUTHZ_CALLOUT, store.callout(), label="policy-store"
-        )
-        client = GramClient(credential, service.gatekeeper)
-        return _Scenario(
-            service, client, "policy-store", store,
-            deny=lambda: client.submit(BAD),
-        )
 
     if source_name == "cas":
         vo = VirtualOrganization("NFC")
@@ -204,7 +207,7 @@ class TestBreakerThroughTheProtocol:
         response = scenario.client.submit(GOOD)
         assert response.code is GramErrorCode.AUTHORIZATION_SYSTEM_FAILURE
         assert response.failure_kind == "breaker-open"
-        assert response.failure_source == "policy-store"
+        assert response.failure_source == scenario.label
         assert fault.calls == calls_before  # fast-fail: source untouched
 
     def test_policy_epoch_bump_rearms_the_breaker(self):
@@ -212,17 +215,13 @@ class TestBreakerThroughTheProtocol:
         fault = ExceptionFault()
         inject(scenario.service.registry, GRAM_AUTHZ_CALLOUT, fault)
         resilience = harden(scenario.service, retry=None, failure_threshold=2)
-        # harden() has no combined evaluator here; arm the breaker on
-        # the store's epoch explicitly.
-        resilience.breakers["policy-store"].epoch_source = scenario.epoch_source
+        resilience.breakers[scenario.label].epoch_source = scenario.epoch_source
 
         for _ in range(3):
             scenario.client.submit(GOOD)
         assert scenario.client.submit(GOOD).failure_kind == "breaker-open"
         fault.enabled = False
-        scenario.epoch_source.install(
-            parse_policy(POLICY_TEXT, name="vo"), comment="fixed"
-        )
+        scenario.epoch_source.publish(PolicyBundle.from_texts({"vo": REISSUED_TEXT}))
         # New policy version: the half-open probe goes through and
         # the recovered source serves again.
         assert scenario.client.submit(GOOD).ok
@@ -247,9 +246,7 @@ class TestFailStaticAcrossEpochs:
         assert degraded.decision_context.degraded == "fail-static"
         assert resilience.metrics.degraded_static == 1
 
-        scenario.epoch_source.install(
-            parse_policy(POLICY_TEXT, name="vo"), comment="revoked and reissued"
-        )
+        scenario.epoch_source.publish(PolicyBundle.from_texts({"vo": REISSUED_TEXT}))
         after_bump = scenario.client.submit(GOOD)
         assert after_bump.code is GramErrorCode.AUTHORIZATION_SYSTEM_FAILURE
         assert resilience.metrics.degraded_static == 1  # not served again
