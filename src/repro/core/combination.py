@@ -29,10 +29,10 @@ plain denial (§5.2's error distinction).
 from __future__ import annotations
 
 import enum
+import time
 from typing import List, Sequence, Tuple
 
-import time
-
+from repro.core.compiled import evaluation_view
 from repro.core.decision import Decision, Effect
 from repro.core.errors import AuthorizationSystemFailure
 from repro.core.evaluator import PolicyEvaluator
@@ -85,15 +85,25 @@ class CombinedEvaluator:
         not record their own provenance (anything without the
         :class:`PolicyEvaluator` hook) are recorded here so the
         combined decision always names its contributors.
+
+        The request's evaluation view is built once, on the first
+        :class:`PolicyEvaluator`, and shared by the others; it lives
+        only as long as this call.
         """
         context = current_context()
         decisions = []
+        view = None
         for evaluator in self.evaluators:
             started = time.perf_counter()
             recorded_before = len(context.sources) if context is not None else 0
             try:
                 with obs_span(f"source:{evaluator.source}"):
-                    decision = evaluator.evaluate(request)
+                    if isinstance(evaluator, PolicyEvaluator):
+                        if view is None:
+                            view = evaluation_view(request)
+                        decision = evaluator.evaluate(request, view)
+                    else:
+                        decision = evaluator.evaluate(request)
             except Exception as exc:  # a broken PDP must fail closed
                 decision = Decision.indeterminate(
                     f"policy source {evaluator.source!r} failed: {exc}",

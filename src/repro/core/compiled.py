@@ -59,7 +59,7 @@ import threading
 import time
 from bisect import bisect_left
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.attributes import ACTION, JOBOWNER, NULL, SELF
@@ -75,6 +75,7 @@ from repro.core.model import (
     PolicyAssertion,
     PolicyStatement,
     StatementKind,
+    Subject,
 )
 from repro.core.request import AuthorizationRequest
 from repro.rsl.ast import Concatenation, Relop, Value, VariableReference
@@ -102,9 +103,27 @@ class CompiledAssertion:
     #: Lowered action values this assertion can possibly match, or
     #: ``None`` when the guard is not statically indexable (catch-all).
     action_keys: Optional[Tuple[str, ...]]
-    #: ``granted by <subject>: <assertion>`` — unparsing the assertion
-    #: per permit showed up in profiles, so the string is baked here.
-    permit_reason: str = ""
+    #: The owning statement's subject, quoted by :attr:`permit_reason`.
+    subject: Subject
+    #: Filled on first use.  Declared as a field so filling it replaces
+    #: a value instead of growing every permitted instance's dict.
+    _permit_reason: Optional[str] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def permit_reason(self) -> str:
+        """``granted by <subject>: <assertion>``.
+
+        Unparsing every assertion at compile time was a tenth of a
+        large policy's deploy, and most assertions never permit; the
+        string is built on an assertion's first permit and kept.
+        """
+        reason = self._permit_reason
+        if reason is None:
+            reason = f"granted by {self.subject}: {self.assertion}"
+            object.__setattr__(self, "_permit_reason", reason)
+        return reason
 
     def match(
         self, values: Dict[str, Tuple[str, ...]], context: MatchContext
@@ -204,9 +223,7 @@ def _compile_statement(statement: PolicyStatement, order: int) -> CompiledStatem
                 guard=guard,
                 body=body,
                 action_keys=_indexable_action_keys(assertion),
-                permit_reason=(
-                    f"granted by {statement.subject}: {assertion}"
-                ),
+                subject=statement.subject,
             )
         )
     catch_all = tuple(c for c in compiled if c.action_keys is None)
@@ -388,7 +405,11 @@ class CompiledPolicy:
         return len(self.statements)
 
 
-def evaluation_view(request: AuthorizationRequest) -> Dict[str, Tuple[str, ...]]:
+#: Attribute -> the texts a request contributes (see :func:`evaluation_view`).
+EvaluationView = Dict[str, Tuple[str, ...]]
+
+
+def evaluation_view(request: AuthorizationRequest) -> EvaluationView:
     """The request-value view of the evaluation specification, directly.
 
     Produces exactly
@@ -402,7 +423,7 @@ def evaluation_view(request: AuthorizationRequest) -> Dict[str, Tuple[str, ...]]
     whose attribute is *exactly* the lowered form are replaced, and
     the NULL/empty-value filter applies to every contributed text.
     """
-    collected: Dict[str, List[str]] = {}
+    view: EvaluationView = {}
     for relation in request.job_description.relations:
         if relation.op is not Relop.EQ:
             continue
@@ -410,12 +431,15 @@ def evaluation_view(request: AuthorizationRequest) -> Dict[str, Tuple[str, ...]]
         if attribute == ACTION or attribute == JOBOWNER:
             continue
         for value in relation.values:
-            if isinstance(value, (VariableReference, Concatenation)):
+            if type(value) is Value:
+                text = value.text
+            elif isinstance(value, (VariableReference, Concatenation)):
                 continue
-            text = str(value)
+            else:
+                text = str(value)
             if text and text != NULL:
-                collected.setdefault(attribute, []).append(text)
-    view = {attribute: tuple(texts) for attribute, texts in collected.items()}
+                texts = view.get(attribute)
+                view[attribute] = (text,) if texts is None else texts + (text,)
     for attribute, text in (
         (ACTION, str(request.action)),
         (JOBOWNER, str(request.owner)),

@@ -34,7 +34,12 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core.compiled import compiled_for, evaluation_view, is_compiled
+from repro.core.compiled import (
+    EvaluationView,
+    compiled_for,
+    evaluation_view,
+    is_compiled,
+)
 from repro.core.decision import Decision
 from repro.core.matching import MatchContext, match_assertion
 from repro.core.model import Policy, PolicyStatement
@@ -175,9 +180,17 @@ class PolicyEvaluator:
 
     # -- evaluation --------------------------------------------------------
 
-    def evaluate(self, request: AuthorizationRequest) -> Decision:
-        """Decide *request* under this policy alone."""
-        decision = self._evaluate(request)
+    def evaluate(
+        self, request: AuthorizationRequest, view: Optional[EvaluationView] = None
+    ) -> Decision:
+        """Decide *request* under this policy alone.
+
+        *view* is the request's :func:`~repro.core.compiled.evaluation_view`
+        when the caller already built it for this decision (the
+        combined evaluator shares one across its sources); otherwise
+        the compiled engine builds it when a statement applies.
+        """
+        decision = self._evaluate(request, view)
         context = _current_context()
         if context is not None:
             context.add_source(
@@ -185,15 +198,19 @@ class PolicyEvaluator:
             )
         return decision
 
-    def _evaluate(self, request: AuthorizationRequest) -> Decision:
+    def _evaluate(
+        self, request: AuthorizationRequest, view: Optional[EvaluationView]
+    ) -> Decision:
         self.evaluations += 1
         if self.compiled is not None:
-            return self._evaluate_compiled(request)
+            return self._evaluate_compiled(request, view)
         return self._evaluate_interpreted(request)
 
     # -- compiled engine ---------------------------------------------------
 
-    def _evaluate_compiled(self, request: AuthorizationRequest) -> Decision:
+    def _evaluate_compiled(
+        self, request: AuthorizationRequest, view: Optional[EvaluationView]
+    ) -> Decision:
         identity = str(request.requester)
         (grants, requirements), from_memo = self.compiled.slices_for(identity)
         if self._m_lookup_memo is not None:
@@ -206,7 +223,7 @@ class PolicyEvaluator:
                 source=self.source,
             )
 
-        values = evaluation_view(request)
+        values = view if view is not None else evaluation_view(request)
         context = MatchContext(requester=request.requester)
 
         for compiled_statement in requirements:

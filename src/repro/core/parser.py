@@ -46,6 +46,8 @@ from repro.rsl.parser import parse_specification
 #: A subject line: optional '&', a '/'-rooted DN-ish pattern, a colon,
 #: then the (possibly empty) start of the body.
 _SUBJECT_RE = re.compile(r"^(?P<marker>&?)\s*(?P<subject>/[^:]+):\s*(?P<rest>.*)$")
+#: The characters :func:`split_assertions` acts on.
+_STRUCTURE_RE = re.compile(r"[()&]")
 
 
 def parse_policy(text: str, name: str = "") -> Policy:
@@ -93,18 +95,21 @@ def parse_policy_file(path: str) -> Policy:
 
 def _strip_comment(line: str) -> str:
     """Drop everything after an unquoted '#'."""
-    in_quote = ""
-    for index, ch in enumerate(line):
-        if in_quote:
-            if ch == in_quote:
-                in_quote = ""
-            continue
-        if ch in "\"'":
-            in_quote = ch
-            continue
-        if ch == "#":
-            return line[:index]
-    return line
+    start = 0
+    while True:
+        hash_at = line.find("#", start)
+        if hash_at < 0:
+            return line
+        double = line.find('"', start, hash_at)
+        single = line.find("'", start, hash_at)
+        if double < 0 and single < 0:
+            return line[:hash_at]
+        # The first quote before the '#' hides everything up to its close.
+        quote_at = single if double < 0 or 0 <= single < double else double
+        close_at = line.find(line[quote_at], quote_at + 1)
+        if close_at < 0:
+            return line
+        start = close_at + 1
 
 
 def make_subject(pattern: str) -> Subject:
@@ -123,29 +128,26 @@ def split_assertions(body: str) -> List[str]:
     """Split a statement body into assertion chunks.
 
     A ``&`` at parenthesis depth zero starts a new assertion; the
-    leading assertion may omit it.
+    leading assertion may omit it.  Only parentheses and ``&`` are
+    visited, so the pass is linear in the body's structure characters.
     """
     chunks: List[str] = []
     depth = 0
-    current: List[str] = []
-    for ch in body:
+    start = 0
+    for match in _STRUCTURE_RE.finditer(body):
+        ch = match.group()
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth = max(0, depth - 1)
-        if ch == "&" and depth == 0:
-            if _has_content(current):
-                chunks.append("".join(current))
-            current = []
-            continue
-        current.append(ch)
-    if _has_content(current):
-        chunks.append("".join(current))
+        elif depth == 0:
+            chunk = body[start:match.start()]
+            if chunk.strip():
+                chunks.append(chunk)
+            start = match.end()
+    if body[start:].strip():
+        chunks.append(body[start:])
     return chunks
-
-
-def _has_content(chars: List[str]) -> bool:
-    return bool("".join(chars).strip())
 
 
 class _PendingStatement:

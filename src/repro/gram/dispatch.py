@@ -37,7 +37,7 @@ from dataclasses import replace
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.capability import default_capability_key
-from repro.core.resilience import ResilienceConfig, ResilienceMetrics
+from repro.core.resilience import ResilienceConfig
 from repro.core.store import PolicySnapshot
 from repro.gram.lifecycle import SharedGauge
 from repro.gram.spill import shard_spill_path
@@ -385,20 +385,7 @@ class ShardedGramService:
         metrics, and that shard's telemetry registry — so a source
         failing on one shard never trips another shard's breaker.
         """
-        return [
-            shard.harden(
-                None
-                if resilience is None
-                else replace(
-                    resilience,
-                    clock=shard.clock,
-                    metrics=ResilienceMetrics(),
-                    breakers={},
-                    registry=None,
-                )
-            )
-            for shard in self.shards
-        ]
+        return [shard.harden(resilience) for shard in self.shards]
 
     def bump_policy_epoch(self) -> int:
         """Invalidate every shard's decision cache in one step.

@@ -8,7 +8,7 @@ registry, PEP, Gatekeeper.  :class:`GramService` assembles it from a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Tuple
 
 from repro.accounts.dynamic import DynamicAccountPool
@@ -35,7 +35,7 @@ from repro.core.model import Policy
 from repro.core.pep import EnforcementPoint, PEPPlacement
 from repro.core.query import QueryEngine
 from repro.core.pipeline import DecisionCache
-from repro.core.resilience import ResilienceConfig
+from repro.core.resilience import ResilienceConfig, ResilienceMetrics
 from repro.core.store import (
     REJECT_SOURCES,
     BundleRejected,
@@ -375,6 +375,13 @@ class GramService:
         whatever is configured at that moment (faulty or not) ends up
         behind the timeout/retry/breaker.
 
+        A given *resilience* is a template and is left untouched: the
+        service hardens with its own copy, bound to this service's
+        clock (timeouts and breaker reset read simulated time), fresh
+        breakers and metrics, and this service's telemetry registry,
+        and returns that copy.  Two services hardened from one template
+        therefore never share a breaker or a clock.
+
         Hardening is applied at most once: a second call would stack
         another timeout/retry/breaker layer onto the already-wrapped
         callouts (doubling every retry budget and timing out twice),
@@ -385,15 +392,13 @@ class GramService:
                 "harden() was already applied to this service; build a "
                 "new GramService to change the resilience configuration"
             )
-        if resilience is None:
-            resilience = ResilienceConfig()
-        # Timeouts and breaker reset read simulated time: without this
-        # service's clock, a timeout never fires and an open breaker
-        # never half-opens.
-        if resilience.clock is None:
-            resilience.clock = self.clock
-        if resilience.registry is None and self.telemetry is not None:
-            resilience.registry = self.telemetry.registry
+        resilience = replace(
+            resilience if resilience is not None else ResilienceConfig(),
+            clock=self.clock,
+            metrics=ResilienceMetrics(),
+            breakers={},
+            registry=self.telemetry.registry if self.telemetry is not None else None,
+        )
         self.resilience = resilience
         epoch_source = self.combined_evaluator
 

@@ -55,16 +55,29 @@ class Allocation:
 
 
 class Cluster:
-    """A named collection of nodes with first-fit CPU allocation."""
+    """A named collection of nodes with first-fit CPU allocation.
+
+    The cluster is the only writer of its nodes' ``used`` counts, so it
+    keeps ``free_cpus`` as a running total and looks nodes up by name
+    in a map built once: neither a ``free_cpus`` read nor
+    :meth:`release` walks the node list.  First-fit starts at the
+    lowest node that may have a free CPU; every node before
+    ``_first_free`` is full.
+    """
 
     def __init__(self, name: str, nodes: Iterable[Node]) -> None:
         self.name = name
         self.nodes: List[Node] = list(nodes)
         if not self.nodes:
             raise ValueError(f"cluster {name!r} needs at least one node")
-        names = [n.name for n in self.nodes]
-        if len(set(names)) != len(names):
+        self._index: Dict[str, int] = {
+            node.name: i for i, node in enumerate(self.nodes)
+        }
+        if len(self._index) != len(self.nodes):
             raise ValueError(f"duplicate node names in cluster {name!r}")
+        self.total_cpus = sum(node.cpus for node in self.nodes)
+        self.free_cpus = sum(node.free for node in self.nodes)
+        self._first_free = 0
 
     @classmethod
     def homogeneous(cls, name: str, node_count: int, cpus_per_node: int) -> "Cluster":
@@ -74,16 +87,8 @@ class Cluster:
         )
 
     @property
-    def total_cpus(self) -> int:
-        return sum(node.cpus for node in self.nodes)
-
-    @property
-    def free_cpus(self) -> int:
-        return sum(node.free for node in self.nodes)
-
-    @property
     def used_cpus(self) -> int:
-        return sum(node.used for node in self.nodes)
+        return self.total_cpus - self.free_cpus
 
     @property
     def utilization(self) -> float:
@@ -105,26 +110,33 @@ class Cluster:
                 f"cluster {self.name!r} has {self.free_cpus} free CPUs, "
                 f"asked for {cpus}"
             )
+        nodes = self.nodes
+        index = self._first_free
+        while nodes[index].free == 0:
+            index += 1
+        self._first_free = index
         remaining = cpus
         parts: List[Tuple[str, int]] = []
-        for node in self.nodes:
-            if remaining == 0:
-                break
+        while remaining:
+            node = nodes[index]
             grab = min(node.free, remaining)
             if grab > 0:
                 node.take(grab)
                 parts.append((node.name, grab))
                 remaining -= grab
-        assert remaining == 0, "free_cpus accounting is inconsistent"
+            index += 1
+        self.free_cpus -= cpus
         return Allocation(parts=tuple(parts))
 
     def release(self, allocation: Allocation) -> None:
-        by_name: Dict[str, Node] = {node.name: node for node in self.nodes}
         for name, count in allocation.parts:
-            node = by_name.get(name)
-            if node is None:
+            index = self._index.get(name)
+            if index is None:
                 raise AllocationError(f"allocation references unknown node {name!r}")
-            node.give_back(count)
+            self.nodes[index].give_back(count)
+            self.free_cpus += count
+            if index < self._first_free:
+                self._first_free = index
 
     def __str__(self) -> str:
         return (

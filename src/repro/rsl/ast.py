@@ -10,6 +10,7 @@ resource limits.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -26,15 +27,19 @@ class Relop(enum.Enum):
 
     @classmethod
     def from_symbol(cls, symbol: str) -> "Relop":
-        for op in cls:
-            if op.value == symbol:
-                return op
-        raise ValueError(f"unknown RSL operator: {symbol!r}")
+        op = RELOPS.get(symbol)
+        if op is None:
+            raise ValueError(f"unknown RSL operator: {symbol!r}")
+        return op
 
     @property
     def is_ordering(self) -> bool:
         """True for the operators requiring a numeric interpretation."""
         return self in (Relop.LT, Relop.LTE, Relop.GT, Relop.GTE)
+
+
+#: Operator symbol -> :class:`Relop`.
+RELOPS: Dict[str, Relop] = {op.value: op for op in Relop}
 
 
 @dataclass(frozen=True)
@@ -121,6 +126,13 @@ class Value:
         return self.text
 
 
+#: A character ``float`` never accepts: anything but whitespace, a
+#: decimal digit, a sign, a point, an exponent or the letters of
+#: ``inf``/``infinity``/``nan``.  Rejecting on it skips the exception
+#: ``float`` would raise for ordinary words.
+_NOT_NUMERIC = re.compile(r"[^\s\d+\-.eEinftyaINFTYA]")
+
+
 def _try_number(text: str) -> Optional[float]:
     """Parse *text* as a finite decimal number, else None.
 
@@ -129,7 +141,7 @@ def _try_number(text: str) -> Optional[float]:
     breaks comparison reflexivity), so words like ``NAN`` stay
     strings.
     """
-    if "_" in text:
+    if "_" in text or _NOT_NUMERIC.search(text):
         return None
     try:
         number = float(text)

@@ -7,6 +7,7 @@ Token inventory (mirroring the GT2 RSL grammar):
 ``RPAREN`` ``)``
 ``AMP``    ``&`` — conjunction prefix
 ``PLUS``   ``+`` — multi-request prefix
+``HASH``   ``#`` — value concatenation
 ``OP``     one of ``= != < <= > >=``
 ``WORD``   an unquoted literal (may contain ``/ . - _ : * $ @ ,``)
 ``STRING`` a double- or single-quoted literal
@@ -16,14 +17,22 @@ Token inventory (mirroring the GT2 RSL grammar):
 
 Unquoted words terminate at whitespace, parentheses or an operator
 character, which matches how GT2 RSL treats bare values such as
-``/bin/transp`` or distinguished-name fragments.
+``/bin/transp`` or distinguished-name fragments.  ``&`` and ``+``
+inside a word are literal (an email address, a DN) unless the next
+character is ``(``, whitespace or the end of input, which is how
+clause prefixes appear.
+
+One compiled regular expression scans the whole text; :func:`scan`
+returns plain ``(type, text, position)`` tuples for the parser, and
+:func:`tokenize` wraps the same tuples as :class:`Token` objects.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import List, Tuple
 
 from repro.rsl.errors import RSLSyntaxError
 
@@ -51,123 +60,90 @@ class Token:
         return f"Token({self.type.name}, {self.text!r}, @{self.position})"
 
 
-_OP_CHARS = set("=!<>")
-_STRUCTURAL = {
+#: ``(type, text, position)`` — what :func:`scan` produces per token.
+RawToken = Tuple[TokenType, str, int]
+
+# Each alternative is one group spanning the whole token, so the
+# group's start is the token's position.  A quoted string may close
+# only on a quote that no further quote follows: with that guard the
+# doubled-quote pairs cannot be re-split to close earlier, so an
+# unterminated string fails where it opens.
+# Whatever no token accepts (a lone '!', an unterminated string or
+# ``$(``) lands in the error group and is reported there.  The last
+# group matches the end of the text, trailing whitespace included, so
+# no position is ever left unmatched and rescanned.
+_TOKEN_RE = re.compile(
+    r"""
+    [ \t\r\n]*
+    (?:
+        ([()\#&+])                                  # 1 punctuation
+      | ((?!\$\()[^()=!<>"'\#&+ \t\r\n]
+         (?:[^()=!<>"'\#&+ \t\r\n]+|[&+](?=[^( \t\r\n]))*)  # 2 word
+      | (!=|<=|>=|[=<>])                            # 3 operator
+      | ("[^"]*(?:""[^"]*)*"(?!"))                  # 4 double-quoted
+      | ('[^']*(?:''[^']*)*'(?!'))                  # 5 single-quoted
+      | (\$\([^)]*\))                               # 6 variable reference
+      | ([^ \t\r\n])                               # 7 error
+      | (\Z)                                        # 8 end of text
+    )
+    """,
+    re.VERBOSE,
+)
+
+_PUNCTUATION = {
     "(": TokenType.LPAREN,
     ")": TokenType.RPAREN,
     "#": TokenType.HASH,
+    "&": TokenType.AMP,
+    "+": TokenType.PLUS,
 }
-_WORD_TERMINATORS = set("()=!<>\"'#") | set(" \t\r\n")
+
+_ERRORS = {
+    "!": "expected '=' after '!'",
+    '"': "unterminated string literal",
+    "'": "unterminated string literal",
+    "$": "unterminated variable reference",
+}
+
+
+def scan(text: str) -> List[RawToken]:
+    """Scan *text* into ``(type, text, position)`` tuples ending with EOF."""
+    tokens: List[RawToken] = []
+    append = tokens.append
+    punctuation = _PUNCTUATION
+    OP, WORD, STRING = TokenType.OP, TokenType.WORD, TokenType.STRING
+    for match in _TOKEN_RE.finditer(text):
+        group = match.lastindex
+        lexeme = match.group(group)
+        position = match.start(group)
+        if group == 1:
+            append((punctuation[lexeme], lexeme, position))
+        elif group == 2:
+            word = lexeme.strip()
+            if not word:
+                raise RSLSyntaxError(
+                    f"unexpected character {lexeme[0]!r}", position, text
+                )
+            append((WORD, word, position))
+        elif group == 3:
+            append((OP, lexeme, position))
+        elif group == 4:
+            append((STRING, lexeme[1:-1].replace('""', '"'), position))
+        elif group == 5:
+            append((STRING, lexeme[1:-1].replace("''", "'"), position))
+        elif group == 6:
+            name = lexeme[2:-1].strip()
+            if not name:
+                raise RSLSyntaxError("empty variable reference", position, text)
+            append((TokenType.VARREF, name, position))
+        elif group == 7:
+            raise RSLSyntaxError(_ERRORS[lexeme], position, text)
+        else:
+            break
+    append((TokenType.EOF, "", len(text)))
+    return tokens
 
 
 def tokenize(text: str) -> List[Token]:
     """Tokenize *text* into a list ending with an EOF token."""
-    return list(_scan(text))
-
-
-def _scan(text: str) -> Iterator[Token]:
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        if ch in _STRUCTURAL:
-            yield Token(_STRUCTURAL[ch], ch, i)
-            i += 1
-            continue
-        if ch == "&":
-            yield Token(TokenType.AMP, ch, i)
-            i += 1
-            continue
-        if ch == "+":
-            yield Token(TokenType.PLUS, ch, i)
-            i += 1
-            continue
-        if ch in _OP_CHARS:
-            i = yield from _scan_operator(text, i)
-            continue
-        if ch in "\"'":
-            i = yield from _scan_string(text, i)
-            continue
-        if ch == "$" and i + 1 < n and text[i + 1] == "(":
-            i = yield from _scan_varref(text, i)
-            continue
-        i = yield from _scan_word(text, i)
-    yield Token(TokenType.EOF, "", n)
-
-
-def _scan_operator(text: str, start: int):
-    ch = text[start]
-    nxt = text[start + 1] if start + 1 < len(text) else ""
-    if ch == "!":
-        if nxt != "=":
-            raise RSLSyntaxError("expected '=' after '!'", start, text)
-        yield Token(TokenType.OP, "!=", start)
-        return start + 2
-    if ch in "<>" and nxt == "=":
-        yield Token(TokenType.OP, ch + "=", start)
-        return start + 2
-    yield Token(TokenType.OP, ch, start)
-    return start + 1
-
-
-def _scan_string(text: str, start: int):
-    quote = text[start]
-    i = start + 1
-    chars: List[str] = []
-    while i < len(text):
-        ch = text[i]
-        if ch == quote:
-            # RSL escapes an embedded quote by doubling it.
-            if i + 1 < len(text) and text[i + 1] == quote:
-                chars.append(quote)
-                i += 2
-                continue
-            yield Token(TokenType.STRING, "".join(chars), start)
-            return i + 1
-        chars.append(ch)
-        i += 1
-    raise RSLSyntaxError("unterminated string literal", start, text)
-
-
-def _scan_varref(text: str, start: int):
-    # text[start] == '$', text[start+1] == '('
-    i = start + 2
-    begin = i
-    while i < len(text) and text[i] != ")":
-        i += 1
-    if i >= len(text):
-        raise RSLSyntaxError("unterminated variable reference", start, text)
-    name = text[begin:i].strip()
-    if not name:
-        raise RSLSyntaxError("empty variable reference", start, text)
-    yield Token(TokenType.VARREF, name, start)
-    return i + 1
-
-
-def _scan_word(text: str, start: int):
-    i = start
-    chars: List[str] = []
-    while i < len(text):
-        ch = text[i]
-        if ch in _WORD_TERMINATORS or ch in "&+":
-            # '&' and '+' only terminate a word at a clause boundary;
-            # inside a word (e.g. an email or DN) they are literal.
-            if ch in "&+" and chars and chars[-1] not in (" ",):
-                # Peek: treat as terminator only when followed by '('
-                # or whitespace, which is how clause prefixes appear.
-                nxt = text[i + 1] if i + 1 < len(text) else ""
-                if nxt not in ("(", " ", "\t", "\r", "\n", ""):
-                    chars.append(ch)
-                    i += 1
-                    continue
-            break
-        chars.append(ch)
-        i += 1
-    word = "".join(chars).strip()
-    if not word:
-        raise RSLSyntaxError(f"unexpected character {text[start]!r}", start, text)
-    yield Token(TokenType.WORD, word, start)
-    return i
+    return [Token(*raw) for raw in scan(text)]

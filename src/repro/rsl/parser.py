@@ -15,146 +15,129 @@ Grammar (following the GT2 RSL 1.0 structure)::
 ``parse_rsl`` returns either a :class:`Specification` or a
 :class:`MultiRequest`; ``parse_specification`` insists on a single
 specification, which is what the Job Manager expects from a job
-request.
+request.  The parser walks the scanner's token tuples by index.
 """
 
 from __future__ import annotations
 
-from typing import List, Union
+from typing import List, Tuple, Union
 
 from repro.rsl.ast import (
+    RELOPS,
     Concatenation,
     MultiRequest,
     Relation,
-    Relop,
     Specification,
     Value,
     VariableReference,
 )
 from repro.rsl.errors import RSLSyntaxError
-from repro.rsl.lexer import Token, TokenType, tokenize
+from repro.rsl.lexer import RawToken, TokenType, scan
+
+LPAREN = TokenType.LPAREN
+RPAREN = TokenType.RPAREN
+AMP = TokenType.AMP
+PLUS = TokenType.PLUS
+HASH = TokenType.HASH
+OP = TokenType.OP
+WORD = TokenType.WORD
+STRING = TokenType.STRING
+VARREF = TokenType.VARREF
+EOF = TokenType.EOF
 
 
-class _Parser:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.tokens = tokenize(text)
-        self.index = 0
+def _unexpected(wanted: TokenType, token: RawToken, text: str) -> RSLSyntaxError:
+    return RSLSyntaxError(
+        f"expected {wanted.name}, found {token[0].name}", token[2], text
+    )
 
-    # -- token helpers ---------------------------------------------------
 
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.index]
+def _atom(token: RawToken, text: str) -> Union[Value, VariableReference]:
+    kind = token[0]
+    if kind is WORD:
+        return Value.of(token[1])
+    if kind is STRING:
+        return Value.of(token[1], quoted=True)
+    if kind is VARREF:
+        return VariableReference(name=token[1])
+    raise RSLSyntaxError(
+        f"expected a value, found {kind.name}", token[2], text
+    )
 
-    def advance(self) -> Token:
-        token = self.current
-        if token.type is not TokenType.EOF:
-            self.index += 1
-        return token
 
-    def expect(self, ttype: TokenType) -> Token:
-        if self.current.type is not ttype:
-            raise RSLSyntaxError(
-                f"expected {ttype.name}, found {self.current.type.name}",
-                self.current.position,
-                self.text,
-            )
-        return self.advance()
-
-    def at(self, ttype: TokenType) -> bool:
-        return self.current.type is ttype
-
-    # -- grammar ----------------------------------------------------------
-
-    def parse(self) -> Union[Specification, MultiRequest]:
-        if self.at(TokenType.PLUS):
-            self.advance()
-            result: Union[Specification, MultiRequest] = self._multi_request_body()
-        else:
-            result = self._specification()
-        self.expect(TokenType.EOF)
-        return result
-
-    def _multi_request_body(self) -> MultiRequest:
-        specs: List[Specification] = []
-        while self.at(TokenType.LPAREN):
-            self.expect(TokenType.LPAREN)
-            specs.append(self._specification())
-            self.expect(TokenType.RPAREN)
-        if not specs:
-            raise RSLSyntaxError(
-                "multi-request must contain at least one specification",
-                self.current.position,
-                self.text,
-            )
-        return MultiRequest.make(specs)
-
-    def _specification(self) -> Specification:
-        if self.at(TokenType.AMP):
-            self.advance()
-        relations: List[Relation] = []
-        while self.at(TokenType.LPAREN):
-            relations.append(self._relation())
-        if not relations:
-            raise RSLSyntaxError(
-                "specification must contain at least one relation",
-                self.current.position,
-                self.text,
-            )
-        return Specification.make(relations)
-
-    def _relation(self) -> Relation:
-        self.expect(TokenType.LPAREN)
-        name_token = self.expect(TokenType.WORD)
-        op_token = self.expect(TokenType.OP)
-        op = Relop.from_symbol(op_token.text)
-        values: List[Union[Value, VariableReference]] = []
-        while not self.at(TokenType.RPAREN):
-            values.append(self._value())
-        self.expect(TokenType.RPAREN)
+def _specification(
+    tokens: List[RawToken], i: int, text: str
+) -> Tuple[Specification, int]:
+    """Parse ``'&'? clause+`` from token *i*; returns (spec, next index)."""
+    if tokens[i][0] is AMP:
+        i += 1
+    relations: List[Relation] = []
+    while tokens[i][0] is LPAREN:
+        name = tokens[i + 1]
+        if name[0] is not WORD:
+            raise _unexpected(WORD, name, text)
+        op = tokens[i + 2]
+        if op[0] is not OP:
+            raise _unexpected(OP, op, text)
+        i += 3
+        values = []
+        token = tokens[i]
+        while token[0] is not RPAREN:
+            value = _atom(token, text)
+            i += 1
+            if tokens[i][0] is HASH:
+                parts = [value]
+                while tokens[i][0] is HASH:
+                    parts.append(_atom(tokens[i + 1], text))
+                    i += 2
+                # Ground concatenations fold immediately into one literal.
+                if all(isinstance(part, Value) for part in parts):
+                    value = Value.of("".join(p.text for p in parts), quoted=True)
+                else:
+                    value = Concatenation(parts=tuple(parts))
+            values.append(value)
+            token = tokens[i]
+        i += 1
         if not values:
             raise RSLSyntaxError(
-                f"relation on {name_token.text!r} has no value",
-                name_token.position,
-                self.text,
+                f"relation on {name[1]!r} has no value", name[2], text
             )
-        return Relation(attribute=name_token.text.lower(), op=op, values=tuple(values))
-
-    def _value(self) -> Union[Value, VariableReference, Concatenation]:
-        """One value, possibly a ``#``-joined concatenation."""
-        parts = [self._value_atom()]
-        while self.at(TokenType.HASH):
-            self.advance()
-            parts.append(self._value_atom())
-        if len(parts) == 1:
-            return parts[0]
-        # Ground concatenations fold immediately into one literal.
-        if all(isinstance(part, Value) for part in parts):
-            return Value.of("".join(part.text for part in parts), quoted=True)
-        return Concatenation(parts=tuple(parts))
-
-    def _value_atom(self) -> Union[Value, VariableReference]:
-        token = self.current
-        if token.type is TokenType.WORD:
-            self.advance()
-            return Value.of(token.text)
-        if token.type is TokenType.STRING:
-            self.advance()
-            return Value.of(token.text, quoted=True)
-        if token.type is TokenType.VARREF:
-            self.advance()
-            return VariableReference(name=token.text)
-        raise RSLSyntaxError(
-            f"expected a value, found {token.type.name}", token.position, self.text
+        relations.append(
+            Relation(attribute=name[1].lower(), op=RELOPS[op[1]], values=tuple(values))
         )
+    if not relations:
+        raise RSLSyntaxError(
+            "specification must contain at least one relation", tokens[i][2], text
+        )
+    return Specification(relations=tuple(relations)), i
 
 
 def parse_rsl(text: str) -> Union[Specification, MultiRequest]:
     """Parse *text* into a specification or multi-request."""
     if not text or not text.strip():
         raise RSLSyntaxError("empty RSL text")
-    return _Parser(text).parse()
+    tokens = scan(text)
+    if tokens[0][0] is PLUS:
+        i = 1
+        specs: List[Specification] = []
+        while tokens[i][0] is LPAREN:
+            spec, i = _specification(tokens, i + 1, text)
+            if tokens[i][0] is not RPAREN:
+                raise _unexpected(RPAREN, tokens[i], text)
+            specs.append(spec)
+            i += 1
+        if not specs:
+            raise RSLSyntaxError(
+                "multi-request must contain at least one specification",
+                tokens[i][2],
+                text,
+            )
+        result: Union[Specification, MultiRequest] = MultiRequest.make(specs)
+    else:
+        result, i = _specification(tokens, 0, text)
+    if tokens[i][0] is not EOF:
+        raise _unexpected(EOF, tokens[i], text)
+    return result
 
 
 def parse_specification(text: str) -> Specification:

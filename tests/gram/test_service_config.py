@@ -217,3 +217,24 @@ class TestRemovedKnobDefaults:
             assert resilience.failure_threshold == 5
             assert resilience.reset_timeout == 30.0
             assert resilience.mode is DegradationMode.FAIL_CLOSED
+
+
+class TestHardenTemplate:
+    def test_one_template_hardens_two_services_independently(self):
+        template = ResilienceConfig(timeout=1.0, failure_threshold=2)
+        first = GramService(ServiceConfig())
+        second = GramService(ServiceConfig())
+        a = first.harden(template)
+        b = second.harden(template)
+        assert a is not template and b is not template
+        assert template.clock is None
+        assert template.breakers == {}
+        assert a.clock is first.clock and b.clock is second.clock
+        assert a.registry is first.telemetry.registry
+        assert b.registry is second.telemetry.registry
+        assert a.metrics is not b.metrics
+        assert a.breakers and b.breakers
+        assert not set(map(id, a.breakers.values())) & set(
+            map(id, b.breakers.values())
+        )
+        assert (a.timeout, a.failure_threshold) == (1.0, 2)
